@@ -140,30 +140,36 @@ void loaded_cycles(benchmark::State& state, double injection_rate,
 }
 
 // Scheduler selector shared by the scheduler-parametrized benchmarks:
-// 0 = full, 1 = gated, 2 = time_leap (matches the enum but kept explicit
-// so a reordering of sim::Scheduler cannot silently repoint bench rows).
+// 0 = full, 2 = time_leap. The values are explicit (and 2 rather than 1,
+// the retired gated scheduler's slot) so row names in committed records
+// and CI pair gates keep meaning the same scheduler.
 xpl::sim::Scheduler sched_from_arg(std::int64_t v) {
-  switch (v) {
-    case 2:
-      return xpl::sim::Scheduler::kTimeLeap;
-    case 1:
-      return xpl::sim::Scheduler::kGated;
-    default:
-      return xpl::sim::Scheduler::kFull;
-  }
+  return v == 2 ? xpl::sim::Scheduler::kTimeLeap
+                : xpl::sim::Scheduler::kFull;
 }
 
-// The activity-gating payoff at sweep-campaign operating points: low
+// Time-integrated awake share: module ticks since `ticks0` over
+// module-cycles in the `cycles` that followed, walked or leapt (1.0
+// under full, where every module ticks every cycle).
+double awake_frac(const xpl::sim::Kernel& kernel, std::uint64_t ticks0,
+                  std::uint64_t cycles) {
+  const double module_cycles = static_cast<double>(kernel.module_count()) *
+                               static_cast<double>(cycles);
+  return module_cycles > 0
+             ? static_cast<double>(kernel.ticks() - ticks0) / module_cycles
+             : 0.0;
+}
+
+// The event-driven payoff at sweep-campaign operating points: low
 // injection rates leave most of the network quiescent most cycles, and
-// the gated scheduler (sched == 1) skips those modules' ticks and the
-// full signal-pool scan entirely, while the full scheduler (sched == 0)
-// pays for every module every cycle; time-leap (sched == 2) additionally
-// skips whole quiescent cycle gaps via the wake calendar. Results are
-// bit-identical (tests/kernel_equiv_test.cpp, tests/timeleap_test.cpp);
-// only the wall clock may differ. awake_frac reports the active-set
-// share at the end of the run (1.0 under full — every module ticks) and
-// leapt_frac the share of cycles never walked at all — the two knobs the
-// speedups ride on. This benchmark steps cycle-by-cycle (the sweep
+// the time-leap scheduler (sched == 2) skips sleeping modules' ticks,
+// the full signal-pool scan and whole quiescent cycle gaps, while the
+// full scheduler (sched == 0) pays for every module every cycle. Results
+// are bit-identical (tests/kernel_equiv_test.cpp,
+// tests/timeleap_test.cpp); only the wall clock may differ. awake_frac
+// reports the time-integrated share of modules ticked per cycle and
+// leapt_frac the share of cycles never walked at all — the two knobs
+// the speedups ride on. This benchmark steps cycle-by-cycle (the sweep
 // driver's external protocol), so time-leap can only take single-cycle
 // leaps here; BM_IdleCyclesSched and BM_LowLoadCampaign below run
 // batched spans where multi-cycle leaps engage.
@@ -178,6 +184,7 @@ void BM_GatedSweep(benchmark::State& state) {
   traffic::TrafficConfig tcfg;
   tcfg.injection_rate = 0.01;
   traffic::TrafficDriver driver(net, tcfg);
+  const std::uint64_t ticks0 = net.kernel().ticks();
   for (auto _ : state) {
     driver.step();
     net.step();
@@ -185,8 +192,7 @@ void BM_GatedSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(sim::scheduler_name(cfg.scheduler));
   state.counters["awake_frac"] =
-      static_cast<double>(net.kernel().awake_count()) /
-      static_cast<double>(net.kernel().module_count());
+      awake_frac(net.kernel(), ticks0, state.iterations());
   state.counters["leapt_frac"] =
       state.iterations() > 0
           ? static_cast<double>(net.kernel().leapt_cycles()) /
@@ -196,21 +202,19 @@ void BM_GatedSweep(benchmark::State& state) {
 BENCHMARK(BM_GatedSweep)
     ->ArgNames({"mesh", "sched"})
     ->Args({4, 0})
-    ->Args({4, 1})
     ->Args({4, 2})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 // The time-leap headline: a quiescent network advanced in batched spans,
 // where the calendar is empty and every span collapses into one leap.
 // BM_IdleCycles above steps one cycle per iteration (its rows feed the
-// cross-record gated-vs-PR-6 gate and must keep their names and
+// cross-record event-driven-vs-PR-6 gate and must keep their names and
 // semantics); this variant hands the kernel kIdleSpan cycles at a time,
 // which is the granularity real campaigns use (TrafficDriver::run) and
-// the only one where multi-cycle leaps can engage. The gated and
+// the only one where multi-cycle leaps can engage. The full and
 // time-leap rows are registered back-to-back and paired within one
-// record by CI (time_leap >= 5x gated; see .github/workflows/ci.yml) —
+// record by CI (time_leap >= 5x full; see .github/workflows/ci.yml) —
 // same throttle-drift rationale as the partitioned twins below.
 void BM_IdleCyclesSched(benchmark::State& state) {
   using namespace xpl;
@@ -236,7 +240,6 @@ void BM_IdleCyclesSched(benchmark::State& state) {
 BENCHMARK(BM_IdleCyclesSched)
     ->ArgNames({"mesh", "sched"})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 // A low-load campaign operating point end to end: the injector runs as
@@ -244,14 +247,12 @@ BENCHMARK(BM_IdleCyclesSched)
 // kernel), so between arrivals the network drains, quiesces, and
 // time-leap jumps straight to the next injection the calendar announces.
 // The rate is a trickle — the saturation-bisection probes below the knee
-// and the low end of xsweep rate sweeps, where auto_scheduler picks
-// time_leap — chosen so arrival gaps (~780 cycles at 64 initiators x
-// rate 2e-5) dwarf the ~60-cycle packet drain: leapt_frac lands around
-// 0.92 and the walked cycles that remain are the irreducible in-flight
-// ones. The claim is >= 3x over gated here while staying bit-exact
-// (tests/timeleap_test.cpp pins the digests, this row pins the wall
-// clock; CI pairs the two rows within one record at >= 2x as a gross-
-// regression backstop, the committed BENCH_pr10.json records the 3x).
+// and the low end of xsweep rate sweeps — chosen so arrival gaps (~780
+// cycles at 64 initiators x rate 2e-5) dwarf the ~60-cycle packet drain:
+// leapt_frac lands around 0.92 and the walked cycles that remain are the
+// irreducible in-flight ones. Bit-exact (tests/timeleap_test.cpp pins
+// the digests); this row pins the wall clock, paired with the full row
+// within one record by CI at >= 2x as a gross-regression backstop.
 void BM_LowLoadCampaign(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -265,6 +266,7 @@ void BM_LowLoadCampaign(benchmark::State& state) {
   traffic::TrafficDriver driver(net, tcfg);
   constexpr std::size_t kSpan = 512;
   std::uint64_t cycles = 0;
+  const std::uint64_t ticks0 = net.kernel().ticks();
   for (auto _ : state) {
     driver.run(kSpan);
     cycles += kSpan;
@@ -276,9 +278,7 @@ void BM_LowLoadCampaign(benchmark::State& state) {
     done += net.master(i).completed().size();
   }
   state.counters["txns"] = static_cast<double>(done);
-  state.counters["awake_frac"] =
-      static_cast<double>(net.kernel().awake_count()) /
-      static_cast<double>(net.kernel().module_count());
+  state.counters["awake_frac"] = awake_frac(net.kernel(), ticks0, cycles);
   state.counters["leapt_frac"] =
       cycles > 0 ? static_cast<double>(net.kernel().leapt_cycles()) /
                        static_cast<double>(cycles)
@@ -287,7 +287,6 @@ void BM_LowLoadCampaign(benchmark::State& state) {
 BENCHMARK(BM_LowLoadCampaign)
     ->ArgNames({"mesh", "sched"})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 void BM_LoadedCycles(benchmark::State& state) {
@@ -365,10 +364,11 @@ BENCHMARK(BM_SaturatedCyclesPartitioned)
 
 // Time-leap's failure-mode guard: at saturation the network never
 // quiesces, leapt_frac pins to ~0, and the calendar must cost nothing —
-// the scheduler degenerates to gated plus a cheap emptiness check on the
-// drained-active-set path that never triggers. The two rows are paired
-// within one record by CI (time_leap >= 0.90x gated, the same bounded-
-// overhead shape as the partitioned twins below).
+// the scheduler degenerates to an active set plus a cheap emptiness
+// check on the drained-active-set path that never triggers. The two rows
+// are paired within one record by CI against the full oracle (see
+// .github/workflows/ci.yml; the same bounded-overhead shape as the
+// partitioned twins above).
 void BM_SaturatedSched(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -383,12 +383,14 @@ void BM_SaturatedSched(benchmark::State& state) {
   traffic::TrafficDriver driver(net, tcfg);
   constexpr std::size_t kSpan = 256;
   std::uint64_t cycles = 0;
+  const std::uint64_t ticks0 = net.kernel().ticks();
   for (auto _ : state) {
     driver.run(kSpan);
     cycles += kSpan;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));  // cycles/s
   state.SetLabel(sim::scheduler_name(cfg.scheduler));
+  state.counters["awake_frac"] = awake_frac(net.kernel(), ticks0, cycles);
   state.counters["leapt_frac"] =
       cycles > 0 ? static_cast<double>(net.kernel().leapt_cycles()) /
                        static_cast<double>(cycles)
@@ -396,7 +398,7 @@ void BM_SaturatedSched(benchmark::State& state) {
 }
 BENCHMARK(BM_SaturatedSched)
     ->ArgNames({"mesh", "sched"})
-    ->Args({8, 1})
+    ->Args({8, 0})
     ->Args({8, 2});
 
 // The partitioned datapath across shapes and degrees of parallelism:
@@ -656,7 +658,7 @@ bool write_bench_json(const std::string& path,
     }
     // Scheduler-efficiency fractions (three decimals: these are shares,
     // not counts). Same NaN filter as above: the cv aggregate of an
-    // all-zero counter (leapt_frac under full/gated) is 0/0.
+    // all-zero counter (leapt_frac under full) is 0/0.
     for (const char* key : {"awake_frac", "leapt_frac"}) {
       const auto it3 = run.counters.find(key);
       if (it3 != run.counters.end() &&

@@ -26,7 +26,7 @@ report-only by default so a noisy shared runner cannot block a merge.
 --require-min-ratio PREFIX:RATIO (repeatable) is the opposite gate: it
 demands an *improvement*, exiting nonzero unless every matched benchmark
 whose name starts with PREFIX runs at >= RATIO x the baseline. CI uses
-it to hold the activity-gated kernel to its speedup claim against the
+it to hold the event-driven kernel to its speedup claim against the
 last pre-gating record (BM_IdleCycles vs BENCH_pr6.json); the required
 ratio is far above runner noise, so this gate is safe to make blocking.
 

@@ -155,18 +155,17 @@ NocSpec parse_spec(const std::string& text) {
       spec.net.sim_threads = parse_u64(tokens[1], lineno);
       if (spec.net.sim_threads < 1) fail(lineno, "sim_threads must be >= 1");
     } else if (key == "scheduler") {
-      // Kernel scheduling policy (bit-identical results; DESIGN.md §9,
-      // §12): gated (default) | full | time_leap.
+      // Kernel scheduling policy (bit-identical results; DESIGN.md §9):
+      // time_leap (default) | full; gated is the legacy spelling of
+      // time_leap.
       need(2);
-      if (tokens[1] == "gated") {
-        spec.net.scheduler = sim::Scheduler::kGated;
+      if (tokens[1] == "time_leap" || tokens[1] == "gated") {
+        spec.net.scheduler = sim::Scheduler::kTimeLeap;
       } else if (tokens[1] == "full") {
         spec.net.scheduler = sim::Scheduler::kFull;
-      } else if (tokens[1] == "time_leap") {
-        spec.net.scheduler = sim::Scheduler::kTimeLeap;
       } else {
         fail(lineno, "unknown scheduler '" + tokens[1] +
-                         "' (expected gated | full | time_leap)");
+                         "' (expected time_leap | full | gated)");
       }
     } else if (key == "lookahead") {
       need(2);
@@ -284,7 +283,7 @@ std::string write_spec(const NocSpec& spec) {
   if (spec.net.sim_threads != 1) {
     os << "sim_threads " << spec.net.sim_threads << "\n";
   }
-  if (spec.net.scheduler != sim::Scheduler::kGated) {
+  if (spec.net.scheduler != sim::Scheduler::kTimeLeap) {
     os << "scheduler " << sim::scheduler_name(spec.net.scheduler) << "\n";
   }
   if (spec.net.lookahead != 0) {

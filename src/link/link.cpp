@@ -10,7 +10,8 @@ PipelinedLink::PipelinedLink(std::string name, const LinkWires& upstream,
       up_(upstream),
       down_(downstream),
       rng_(config.seed) {
-  // Wake on traffic from either end (gated scheduler; no-op under full).
+  // Wake on traffic from either end (event-driven scheduler; no-op under
+  // full).
   up_.fwd->watch(*this);
   down_.rev->watch(*this);
 }

@@ -1,6 +1,7 @@
 #include "src/sim/kernel.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/sim/partition.hpp"
 
@@ -10,7 +11,24 @@ namespace detail {
 thread_local const std::uint64_t* g_cycle_override = nullptr;
 }  // namespace detail
 
-Kernel::Kernel(Scheduler scheduler) : scheduler_(scheduler) {}
+namespace {
+
+/// Condition for run() and step(): stop only at the cycle bound.
+constexpr auto kNotDone = [] { return false; };
+
+std::size_t count_awake(const std::vector<Module*>& mods) {
+  std::size_t n = 0;
+  for (const Module* m : mods) {
+    if (m->awake()) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+Kernel::Kernel(Scheduler scheduler) : scheduler_(scheduler) {
+  partitions_.push_back(std::make_unique<Partition>());
+}
 Kernel::~Kernel() = default;
 
 void Kernel::configure_partitions(std::size_t partitions,
@@ -19,6 +37,7 @@ void Kernel::configure_partitions(std::size_t partitions,
   // partition membership are fixed at creation time.
   XPL_ASSERT(modules_.empty() && signal_count_ == 0);
   if (partitions <= 1) return;
+  partitions_.clear();
   partitions_.reserve(partitions);
   for (std::size_t p = 0; p < partitions; ++p) {
     partitions_.push_back(std::make_unique<Partition>());
@@ -32,23 +51,19 @@ std::uint64_t Kernel::cut_flits() const {
   return total;
 }
 
-void Kernel::step() {
-  if (partitioned()) {
-    run_epoch(1);
-    return;
-  }
-  if (scheduler_ == Scheduler::kGated) {
-    step_gated();
-    return;
-  }
-  if (scheduler_ == Scheduler::kTimeLeap) {
-    // A single step never leaps: step() is the cycle-exact primitive the
-    // differential harness and run_until lean on.
-    step_timeleap();
-    return;
-  }
-  for (Module* m : modules_) {
+void Kernel::full_cycle(const std::vector<Module*>& mods, std::size_t first,
+                        std::size_t last) {
+  for (Module* m : mods) {
     m->tick(*this);
+  }
+  partitions_[first]->ticks += mods.size();
+  if (partitioned()) {
+    for (std::size_t i = first; i < last; ++i) {
+      Partition& p = *partitions_[i];
+      for (const DirtyEntry& e : p.dirty) e.commit(e.signal);
+      p.dirty.clear();
+    }
+    return;
   }
   // Commit per type pool: one virtual dispatch per signal *type*, then a
   // tight non-virtual loop testing each signal's written flag (see
@@ -56,200 +71,116 @@ void Kernel::step() {
   for (auto& pool : pools_) {
     pool->commit_all();
   }
-  ++cycle_;
-  for (auto& p : probes_) {
-    p(cycle_);
-  }
 }
 
-void Kernel::step_gated() {
-  // Tick only the active set. Writes to watched signals during this phase
-  // set the writers' consumers' woken flags and append dirty entries.
-  for (Module* m : modules_) {
-    if (m->awake_) m->tick(*this);
-  }
-  // Commit exactly the signals written this cycle. Under gating write
-  // density is low (idle modules drive nothing), so the dirty list beats
-  // the full-pool flag scan that wins at ~100% density (DESIGN.md §2/§9).
-  for (const DirtyEntry& e : dirty_) {
-    e.commit(e.signal);
-  }
-  dirty_.clear();
-  // Active-set update, after commit so is_idle() reads committed values:
-  // a woken module joins the set; a ticked module leaves it only when its
-  // quiescence predicate holds.
-  for (Module* m : modules_) {
-    if (m->woken_) {
-      m->awake_ = true;
-      m->woken_ = false;
-    } else if (m->awake_) {
-      m->awake_ = !m->is_idle();
-    }
-  }
-  ++cycle_;
-  for (auto& p : probes_) {
-    p(cycle_);
-  }
-}
-
-void Kernel::step_timeleap() {
+std::size_t Kernel::event_cycle(const std::vector<Module*>& mods,
+                                std::size_t first, std::size_t last,
+                                std::uint64_t now) {
   // Serve the calendar first: a module due this cycle must tick this
   // cycle. wake() also sets woken_, so a calendar-woken module stays in
-  // the active set one extra cycle — a harmless frozen-tick no-op, the
-  // same slack gated wakes have.
-  calendar_.advance(cycle_);
-  for (Module* m : modules_) {
-    if (m->awake_) m->tick(*this);
+  // the active set one extra cycle — a harmless frozen-tick no-op.
+  for (std::size_t i = first; i < last; ++i) {
+    partitions_[i]->calendar.advance(now);
   }
-  for (const DirtyEntry& e : dirty_) {
-    e.commit(e.signal);
+  // Tick only the active set. Writes to watched signals during this phase
+  // set the consumers' woken flags and append dirty entries.
+  std::uint64_t ticks = 0;
+  for (Module* m : mods) {
+    if (!m->awake_) continue;
+#ifndef NDEBUG
+    assert(m->last_tick_ == kNever || m->last_tick_ < now);  // once/cycle
+    m->last_tick_ = now;
+#endif
+    m->tick(*this);
+    ++ticks;
   }
-  dirty_.clear();
-  // Active-set update, gated rules plus the calendar exit: a busy module
-  // whose next self-driven change lies beyond the next cycle parks on the
-  // calendar instead of spinning through bookkeeping-only ticks.
+  partitions_[first]->ticks += ticks;
+  // Commit exactly the signals written this cycle: write density is low
+  // (sleeping modules drive nothing), so the dirty list beats the
+  // full-pool flag scan that wins at ~100% density (DESIGN.md §2/§9).
+  for (std::size_t i = first; i < last; ++i) {
+    Partition& p = *partitions_[i];
+    for (const DirtyEntry& e : p.dirty) e.commit(e.signal);
+    p.dirty.clear();
+  }
+  // Settle the active set, after commit so is_idle() reads committed
+  // values: a woken module joins the set; a ticked module leaves it when
+  // its quiescence predicate holds (signal-wake only), or parks on its
+  // calendar when its next self-driven change lies beyond the next cycle.
   std::size_t awake = 0;
-  for (Module* m : modules_) {
+  for (Module* m : mods) {
+#ifndef NDEBUG
+    assert(m->last_tick_ != now || m->awake_);  // a ticked module is awake
+#endif
     if (m->woken_) {
       m->awake_ = true;
       m->woken_ = false;
       ++awake;
     } else if (m->awake_) {
       if (m->is_idle()) {
-        m->awake_ = false;  // signal-wake only, exactly as gated
+        m->awake_ = false;
       } else {
-        const std::uint64_t e = m->next_event(cycle_);
-        if (e <= cycle_ + 1) {
+        const std::uint64_t e = m->next_event(now);
+        if (e <= now + 1) {
           ++awake;
         } else {
           m->awake_ = false;
-          if (e != kNever) calendar_.schedule(e, m);
+          if (e != kNever) partitions_[m->partition_]->calendar.schedule(e, m);
         }
       }
     }
   }
-  awake_n_ = awake;
-  ++cycle_;
-  for (auto& p : probes_) {
-    p(cycle_);
-  }
+  return awake;
 }
 
-void Kernel::refresh_awake_n() {
-  std::size_t n = 0;
-  for (const Module* m : modules_) {
-    if (m->awake_) ++n;
-  }
-  awake_n_ = n;
-}
-
-void Kernel::run_timeleap(std::uint64_t cycles) {
-  refresh_awake_n();
-  const std::uint64_t end = cycle_ + cycles;
-  while (cycle_ < end) {
-    // Probes force per-cycle stepping: they observe every committed
-    // cycle, and a leapt cycle is never committed.
-    if (awake_n_ == 0 && probes_.empty()) {
-      const std::uint64_t target = std::min(calendar_.next_due(), end);
-      if (target > cycle_) {
-        leapt_cycles_ += target - cycle_;
-        cycle_ = target;
+template <typename Done>
+void Kernel::advance(std::size_t part, std::uint64_t& clock,
+                     std::uint64_t end, bool may_leap, const Done& done) {
+  Partition& p = *partitions_[part];
+  const bool full = scheduler_ == Scheduler::kFull;
+  may_leap = may_leap && !full;
+  // Re-derive the awake count at entry: exchange deliveries and external
+  // pushes (push_transaction between runs) flip awake_ flags without
+  // this loop seeing them.
+  std::size_t awake = may_leap ? count_awake(p.modules) : 1;
+  while (clock < end && !done()) {
+    if (may_leap && awake == 0) {
+      const std::uint64_t target = std::min(p.calendar.next_due(), end);
+      if (target > clock) {
+        p.leapt += target - clock;
+        clock = target;
         continue;
       }
     }
-    step_timeleap();
+    if (full) {
+      full_cycle(p.modules, part, part + 1);
+    } else {
+      awake = event_cycle(p.modules, part, part + 1, clock);
+    }
+    ++clock;
+    for (auto& probe : probes_) {
+      probe(clock);
+    }
   }
 }
 
-void Kernel::run_partition(Partition& p, std::uint64_t k) {
+void Kernel::step() {
+  if (partitioned()) {
+    run_epoch(1);
+    return;
+  }
+  // A single step never leaps: step() is the cycle-exact primitive the
+  // differential harness leans on.
+  advance(0, cycle_, cycle_ + 1, /*may_leap=*/false, kNotDone);
+}
+
+void Kernel::run_partition(std::size_t part, std::uint64_t k) {
+  Partition& p = *partitions_[part];
   p.local_cycle = cycle_;
   detail::g_cycle_override = &p.local_cycle;
-  if (scheduler_ == Scheduler::kGated) {
-    for (std::uint64_t i = 0; i < k; ++i) {
-      for (Module* m : p.modules) {
-        if (m->awake_) m->tick(*this);
-      }
-      for (const DirtyEntry& e : p.dirty) {
-        e.commit(e.signal);
-      }
-      p.dirty.clear();
-      for (Module* m : p.modules) {
-        if (m->woken_) {
-          m->awake_ = true;
-          m->woken_ = false;
-        } else if (m->awake_) {
-          m->awake_ = !m->is_idle();
-        }
-      }
-      ++p.local_cycle;
-    }
-  } else if (scheduler_ == Scheduler::kTimeLeap) {
-    // Refresh the partition's awake count at epoch entry: exchange
-    // deliveries and external pushes flip awake_ flags between epochs
-    // without this loop seeing them.
-    std::size_t awake = 0;
-    for (const Module* m : p.modules) {
-      if (m->awake_) ++awake;
-    }
-    const std::uint64_t epoch_end = cycle_ + k;
-    while (p.local_cycle < epoch_end) {
-      if (awake == 0) {
-        // Partition-local leap, capped at the epoch barrier: a record
-        // staged for a neighbour is only delivered at the barrier, so a
-        // leap may never cross it.
-        const std::uint64_t target =
-            std::min(p.calendar.next_due(), epoch_end);
-        if (target > p.local_cycle) {
-          p.leapt += target - p.local_cycle;
-          p.local_cycle = target;
-          continue;
-        }
-      }
-      p.calendar.advance(p.local_cycle);
-      for (Module* m : p.modules) {
-        if (m->awake_) m->tick(*this);
-      }
-      for (const DirtyEntry& e : p.dirty) {
-        e.commit(e.signal);
-      }
-      p.dirty.clear();
-      awake = 0;
-      for (Module* m : p.modules) {
-        if (m->woken_) {
-          m->awake_ = true;
-          m->woken_ = false;
-          ++awake;
-        } else if (m->awake_) {
-          if (m->is_idle()) {
-            m->awake_ = false;
-          } else {
-            const std::uint64_t e = m->next_event(p.local_cycle);
-            if (e <= p.local_cycle + 1) {
-              ++awake;
-            } else {
-              m->awake_ = false;
-              if (e != kNever) p.calendar.schedule(e, m);
-            }
-          }
-        }
-      }
-      ++p.local_cycle;
-    }
-  } else {
-    // Full scheduler, partitioned: tick everything, but commit via the
-    // partition dirty list — the per-type pool sweep cannot be split by
-    // partition. Wake flags set by watched writes are ignored here.
-    for (std::uint64_t i = 0; i < k; ++i) {
-      for (Module* m : p.modules) {
-        m->tick(*this);
-      }
-      for (const DirtyEntry& e : p.dirty) {
-        e.commit(e.signal);
-      }
-      p.dirty.clear();
-      ++p.local_cycle;
-    }
-  }
+  // Partition-local leaps are capped at the epoch barrier: a record
+  // staged for a neighbour is only delivered there.
+  advance(part, p.local_cycle, cycle_ + k, /*may_leap=*/true, kNotDone);
   detail::g_cycle_override = nullptr;
 }
 
@@ -257,86 +188,23 @@ void Kernel::run_partition(Partition& p, std::uint64_t k) {
 // nothing from per-partition passes but pay their cache cost: two walks
 // over the module list and signal working set per cycle instead of one.
 // At saturation that measured ~25-35% on a 1-core host. Fuse the
-// partitions into one global-registration-order pass — bit-exact, since
-// cross-partition reads and watches are forbidden by construction,
-// partition module lists are subsequences of modules_, and commits of
-// distinct signals commute (the invariance suite and goldens pin this).
-void Kernel::step_partitions_fused() {
-  if (scheduler_ == Scheduler::kGated) {
-    for (Module* m : modules_) {
-      if (m->awake_) m->tick(*this);
-    }
-    for (auto& p : partitions_) {
-      for (const DirtyEntry& e : p->dirty) {
-        e.commit(e.signal);
-      }
-      p->dirty.clear();
-    }
-    for (Module* m : modules_) {
-      if (m->woken_) {
-        m->awake_ = true;
-        m->woken_ = false;
-      } else if (m->awake_) {
-        m->awake_ = !m->is_idle();
-      }
-    }
-  } else if (scheduler_ == Scheduler::kTimeLeap) {
-    // Fused one-cycle epoch, time-leap flavour: same global-order pass as
-    // gated, but idle-with-future-state modules park on their partition's
-    // calendar. Intra-epoch leaps are impossible at k == 1; the wholesale
-    // all-asleep fast-forward lives in Kernel::run.
-    for (auto& p : partitions_) {
-      p->calendar.advance(cycle_);
-    }
-    for (Module* m : modules_) {
-      if (m->awake_) m->tick(*this);
-    }
-    for (auto& p : partitions_) {
-      for (const DirtyEntry& e : p->dirty) {
-        e.commit(e.signal);
-      }
-      p->dirty.clear();
-    }
-    for (Module* m : modules_) {
-      if (m->woken_) {
-        m->awake_ = true;
-        m->woken_ = false;
-      } else if (m->awake_) {
-        if (m->is_idle()) {
-          m->awake_ = false;
-        } else {
-          const std::uint64_t e = m->next_event(cycle_);
-          if (e > cycle_ + 1) {
-            m->awake_ = false;
-            if (e != kNever) {
-              partitions_[m->partition_]->calendar.schedule(e, m);
-            }
-          }
-        }
-      }
-    }
-  } else {
-    for (Module* m : modules_) {
-      m->tick(*this);
-    }
-    for (auto& p : partitions_) {
-      for (const DirtyEntry& e : p->dirty) {
-        e.commit(e.signal);
-      }
-      p->dirty.clear();
-    }
-  }
-}
-
+// partitions into one global-registration-order pass over the same
+// per-cycle bodies — bit-exact, since cross-partition reads and watches
+// are forbidden by construction, partition module lists are subsequences
+// of modules_, and commits of distinct signals commute (the invariance
+// suite and goldens pin this). Intra-epoch leaps are impossible at
+// k == 1; the wholesale all-asleep fast-forward lives in Kernel::run.
 void Kernel::run_epoch(std::uint64_t k) {
   if (threads_ > 1) {
     if (!pool_) pool_ = std::make_unique<PartitionPool>(*this, threads_);
     pool_->run_epoch(k);
+  } else if (k == 1 && scheduler_ == Scheduler::kFull) {
+    full_cycle(modules_, 0, partitions_.size());
   } else if (k == 1) {
-    step_partitions_fused();
+    event_cycle(modules_, 0, partitions_.size(), cycle_);
   } else {
-    for (auto& p : partitions_) {
-      run_partition(*p, k);
+    for (std::size_t p = 0; p < partitions_.size(); ++p) {
+      run_partition(p, k);
     }
   }
   cycle_ += k;
@@ -350,11 +218,7 @@ void Kernel::run_epoch(std::uint64_t k) {
 
 std::size_t Kernel::awake_count() const {
   if (scheduler_ == Scheduler::kFull) return modules_.size();
-  std::size_t n = 0;
-  for (const Module* m : modules_) {
-    if (m->awake_) ++n;
-  }
-  return n;
+  return count_awake(modules_);
 }
 
 std::uint64_t Kernel::digest() const {
@@ -366,90 +230,62 @@ std::uint64_t Kernel::digest() const {
 }
 
 void Kernel::run(std::uint64_t cycles) {
+  const std::uint64_t end = cycle_ + cycles;
   if (!partitioned()) {
-    if (scheduler_ == Scheduler::kTimeLeap) {
-      run_timeleap(cycles);
-      return;
-    }
-    for (std::uint64_t i = 0; i < cycles; ++i) step();
+    // Probes force per-cycle stepping: they observe every committed
+    // cycle, and a leapt cycle is never committed.
+    advance(0, cycle_, end, probes_.empty(), kNotDone);
     return;
   }
-  while (cycles > 0) {
-    if (scheduler_ == Scheduler::kTimeLeap) {
-      // Wholesale epoch fast-forward: when every module in every
-      // partition is asleep, no epoch before the earliest calendar due
-      // can tick anything, stage anything, or exchange anything (empty
-      // exchanges are no-ops, and all-asleep implies no undelivered
-      // wakes), so the skipped epochs need not execute at all. epochs()
-      // counts executed barriers only.
-      bool any_awake = false;
-      for (const Module* m : modules_) {
-        if (m->awake_) {
-          any_awake = true;
-          break;
-        }
+  while (cycle_ < end) {
+    // Wholesale epoch fast-forward: when every module in every partition
+    // is asleep, no epoch before the earliest calendar due can tick
+    // anything, stage anything, or exchange anything (empty exchanges
+    // are no-ops, and all-asleep implies no undelivered wakes), so the
+    // skipped epochs need not execute at all. epochs() counts executed
+    // barriers only.
+    if (scheduler_ != Scheduler::kFull && count_awake(modules_) == 0) {
+      std::uint64_t target = end;
+      for (const auto& p : partitions_) {
+        target = std::min(target, p->calendar.next_due());
       }
-      if (!any_awake) {
-        std::uint64_t min_due = kNever;
-        for (const auto& p : partitions_) {
-          min_due = std::min(min_due, p->calendar.next_due());
-        }
-        std::uint64_t skip = cycles;
-        if (min_due != kNever) {
-          skip = std::min(skip, min_due > cycle_ ? min_due - cycle_
-                                                 : std::uint64_t{0});
-        }
-        if (skip > 0) {
-          cycle_ += skip;
-          leapt_cycles_ += skip;
-          cycles -= skip;
-          continue;
-        }
+      if (target > cycle_) {
+        leapt_cycles_ += target - cycle_;
+        cycle_ = target;
+        continue;
       }
     }
-    const std::uint64_t k = std::min<std::uint64_t>(lookahead_, cycles);
-    run_epoch(k);
-    cycles -= k;
+    run_epoch(std::min<std::uint64_t>(lookahead_, end - cycle_));
   }
 }
 
 std::uint64_t Kernel::run_until(const std::function<bool()>& done,
                                 std::uint64_t max_cycles) {
-  if (scheduler_ == Scheduler::kTimeLeap && !partitioned()) {
+  const std::uint64_t start = cycle_;
+  if (!partitioned()) {
     // Leaping stays cycle-exact for the callers this interface serves:
     // done() predicates read module state (drain/quiescence checks),
     // which is frozen across a leapt gap, so one evaluation before the
     // leap covers every skipped boundary.
-    refresh_awake_n();
-    std::uint64_t n = 0;
-    while (n < max_cycles && !done()) {
-      if (awake_n_ == 0 && probes_.empty()) {
-        const std::uint64_t end = cycle_ + (max_cycles - n);
-        const std::uint64_t target = std::min(calendar_.next_due(), end);
-        if (target > cycle_) {
-          const std::uint64_t d = target - cycle_;
-          leapt_cycles_ += d;
-          cycle_ = target;
-          n += d;
-          continue;
-        }
-      }
-      step_timeleap();
-      ++n;
-    }
-    return n;
+    advance(0, cycle_, start + max_cycles, probes_.empty(), done);
+    return cycle_ - start;
   }
-  std::uint64_t n = 0;
-  while (n < max_cycles && !done()) {
-    step();
-    ++n;
+  // Partitioned: one-cycle epochs, so done() sees every cycle boundary.
+  while (cycle_ - start < max_cycles && !done()) {
+    run_epoch(1);
   }
-  return n;
+  return cycle_ - start;
 }
 
 std::uint64_t Kernel::leapt_cycles() const {
   std::uint64_t total = leapt_cycles_;
   for (const auto& p : partitions_) total += p->leapt;
+  return total;
+}
+
+std::uint64_t Kernel::ticks() const {
+  std::uint64_t total = 0;
+  for (const auto& p : partitions_) total += p->ticks;
   return total;
 }
 

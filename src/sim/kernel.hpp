@@ -19,40 +19,43 @@
 // so a wire's committed per-cycle value sequence is identical to the
 // classic drive-every-cycle discipline.
 //
-// Three schedulers share this contract (Scheduler, DESIGN.md §9/§12):
+// Two schedulers share this contract (Scheduler, DESIGN.md §9):
 //
 //  * kFull ticks every module every cycle and commits per-type signal
 //    pools in a tight devirtualized loop (one virtual dispatch per *type*
 //    per cycle; the per-signal work is a predictable written-flag branch).
 //    At ~100% write density an explicit dirty list measured slower — see
-//    DESIGN.md §2 — which is why the full path keeps the flag scan.
-//  * kGated additionally maintains an active set: modules whose is_idle()
-//    predicate holds are skipped entirely until a signal they watch is
-//    written (Signal::watch wires the wake) or they are woken explicitly
-//    (Module::wake, e.g. on an external push_transaction). Under gating
-//    write density is low, so commit walks the cycle's dirty list instead
-//    of scanning every signal.
-//  * kTimeLeap is gated plus clock skipping: a module that stays busy
-//    only because of *future* state (a beat mid-pipe, a job inside its
-//    service window, a blocked release) declares the cycle of its next
-//    self-driven change via Module::next_event() and sleeps on a timed-
-//    wake calendar (calendar.hpp). When the active set drains the kernel
-//    leaps cycle_ straight to the calendar's next due cycle instead of
-//    walking the gap one bookkeeping-only cycle at a time.
+//    DESIGN.md §2 — which is why the full path keeps the flag scan. It is
+//    the reference oracle every other execution path is proven against.
+//  * kTimeLeap is the event-driven scheduler. It keeps an active set:
+//    modules whose is_idle() predicate holds are skipped until a signal
+//    they watch is written (Signal::watch wires the wake) or they are
+//    woken explicitly (Module::wake, e.g. on an external
+//    push_transaction). A module that stays busy only because of *future*
+//    state (a beat mid-pipe, a job inside its service window, a blocked
+//    release) declares the cycle of its next self-driven change via
+//    Module::next_event() and sleeps on a timed-wake calendar
+//    (calendar.hpp). When the active set drains the kernel leaps the
+//    clock straight to the calendar's next due cycle instead of walking
+//    the gap. Write density is low, so commit walks the cycle's dirty
+//    list instead of scanning every signal. kGated is the legacy
+//    spelling of the same scheduler.
 //
-// All schedulers are required to be bit-exact with each other; the
+// Both schedulers are required to be bit-exact with each other; the
 // differential harness in tests/kernel_equiv_test.cpp and
 // tests/timeleap_test.cpp checks per-cycle Kernel::digest() equality over
 // randomized scenarios.
 //
-// PR 8 adds conservative-window partitioned execution on top of either
+// Conservative-window partitioned execution composes with either
 // scheduler: the module/signal graph is split into partitions that never
 // share a signal, cross-partition links are replaced by CutChannel
 // mailboxes, and every partition advances `lookahead` cycles between
 // exchange barriers (DESIGN.md §10). Exports stay byte-identical at any
 // partition and thread count because signal creation order — and hence
 // digest order — is independent of the partitioning, and mailboxes are
-// flushed single-threaded in registration order.
+// flushed single-threaded in registration order. An unpartitioned kernel
+// is partition 0 of 1: every execution shape runs the same per-cycle
+// bodies over a Partition's module list, dirty list and calendar.
 #pragma once
 
 #include <cstdint>
@@ -100,21 +103,15 @@ class CutChannel {
 
 /// Kernel scheduling mode; fixed at Kernel construction.
 enum class Scheduler : std::uint8_t {
-  kFull,     ///< tick every module every cycle (classic two-phase)
-  kGated,    ///< skip quiescent modules; wake on watched-signal writes
-  kTimeLeap, ///< gated + skip quiescent cycle gaps via a wake calendar
+  kFull,      ///< tick every module every cycle: the reference oracle
+  kTimeLeap,  ///< event-driven: tick the awake set, leap quiescent gaps
+  /// Legacy spelling of kTimeLeap, kept for code and specs written when
+  /// `gated` named a separate scheduler.
+  kGated = kTimeLeap,
 };
 
 inline const char* scheduler_name(Scheduler s) {
-  switch (s) {
-    case Scheduler::kGated:
-      return "gated";
-    case Scheduler::kTimeLeap:
-      return "time_leap";
-    case Scheduler::kFull:
-      break;
-  }
-  return "full";
+  return s == Scheduler::kFull ? "full" : "time_leap";
 }
 
 /// Base class of all clocked hardware modules.
@@ -129,13 +126,13 @@ class Module {
   const std::string& name() const { return name_; }
 
   /// One clock cycle: read current signal values, write next values and
-  /// stage internal state updates. Called exactly once per Kernel::step()
-  /// under the full scheduler; skipped while quiescent under the gated one.
+  /// stage internal state updates. Called exactly once per cycle under the
+  /// full scheduler; skipped while asleep under the event-driven one.
   virtual void tick(Kernel& kernel) = 0;
 
-  /// Quiescence predicate for the gated scheduler: return true only when
-  /// the next tick() would provably change no internal state and write no
-  /// signal value that differs from what the wires already hold. Modules
+  /// Quiescence predicate for the event-driven scheduler: return true only
+  /// when the next tick() would provably change no internal state and write
+  /// no signal value that differs from what the wires already hold. Modules
   /// that cannot promise this keep the safe default (never skipped). The
   /// kernel evaluates this after commit, so implementations read committed
   /// signal values. See DESIGN.md §9 for the per-module contracts.
@@ -153,11 +150,11 @@ class Module {
     awake_ = true;
   }
 
-  /// True while the gated scheduler is ticking this module (always true
-  /// under the full scheduler, which ignores the flag).
+  /// True while the event-driven scheduler is ticking this module (always
+  /// true under the full scheduler, which ignores the flag).
   bool awake() const { return awake_; }
 
-  /// Time-leap scheduler only: the cycle of this module's next
+  /// Event-driven scheduler only: the cycle of this module's next
   /// *self-driven* state change, consulted right after a tick when
   /// is_idle() is still false. Contract:
   ///
@@ -167,7 +164,7 @@ class Module {
   ///    tick in (now, c) must be an observable no-op (no committed signal
   ///    change, no internal state change that a later cycle could see).
   ///    Counters that would have advanced during the gap must be caught
-  ///    up in closed form on the next tick (DESIGN.md §12).
+  ///    up in closed form on the next tick (DESIGN.md §9).
   ///
   /// Spurious early wakes are harmless by the same contract; returning a
   /// too-late cycle is a correctness bug the differential harness catches.
@@ -179,13 +176,17 @@ class Module {
   friend class Kernel;
 
   std::string name_;
-  bool awake_ = true;  ///< gated scheduler: ticked this cycle
-  bool woken_ = false; ///< gated scheduler: wake requested during this cycle
+  bool awake_ = true;  ///< event-driven scheduler: ticked this cycle
+  bool woken_ = false; ///< event-driven: wake requested during this cycle
   std::size_t partition_ = 0;  ///< owning partition (0 when unpartitioned)
+#ifndef NDEBUG
+  /// Debug guard: cycle of the last event-driven tick (kNever before it).
+  std::uint64_t last_tick_ = kNever;
+#endif
 };
 
 /// Accumulating 64-bit state hash (FNV-1a style). Used by the differential
-/// kernel-equivalence tests to compare full vs gated schedulers per cycle;
+/// kernel-equivalence tests to compare full vs time-leap per cycle;
 /// never touched on the simulation hot path.
 class Digest {
  public:
@@ -209,11 +210,11 @@ inline void hash_append(Digest& d, const T& v) {
   d.mix(static_cast<std::uint64_t>(v));
 }
 
-/// One staged signal awaiting commit under the gated scheduler. The commit
-/// thunk devirtualizes per-entry dispatch into a direct function-pointer
-/// call; committing a signal whose written flag is already clear is a no-op,
-/// so duplicate entries (possible when a test commits a signal by hand) are
-/// harmless.
+/// One staged signal awaiting dirty-list commit (event-driven scheduler or
+/// partitioned kernel). The commit thunk devirtualizes per-entry dispatch
+/// into a direct function-pointer call; committing a signal whose written
+/// flag is already clear is a no-op, so duplicate entries (possible when a
+/// test commits a signal by hand) are harmless.
 struct DirtyEntry {
   void* signal = nullptr;
   void (*commit)(void*) = nullptr;
@@ -258,8 +259,9 @@ class Signal {
   const T& staged() const { return written_ ? next_ : curr_; }
 
   /// Registers `consumer` to be woken whenever this signal is written
-  /// (gated scheduler). Two slots: one reading consumer plus one passive
-  /// observer (e.g. an ocp::Monitor snooping a wire it does not own).
+  /// (event-driven scheduler). Two slots: one reading consumer plus one
+  /// passive observer (e.g. an ocp::Monitor snooping a wire it does not
+  /// own).
   void watch(Module& consumer) {
     if (watchers_[0] == nullptr || watchers_[0] == &consumer) {
       watchers_[0] = &consumer;
@@ -270,9 +272,9 @@ class Signal {
   }
 
   /// Applies the staged value. Called from the pool commit loop (full
-  /// scheduler) or via the dirty-list thunk (gated); the written-flag test
-  /// keeps idle signals at one predictable branch and makes duplicate
-  /// dirty entries no-ops.
+  /// scheduler) or via the dirty-list thunk (event-driven); the
+  /// written-flag test keeps idle signals at one predictable branch and
+  /// makes duplicate dirty entries no-ops.
   void commit() {
     if (written_) {
       curr_ = std::move(next_);
@@ -286,7 +288,7 @@ class Signal {
   T curr_;
   T next_;
   bool written_ = false;
-  DirtyList* dirty_list_ = nullptr;  ///< non-null iff the kernel is gated
+  DirtyList* dirty_list_ = nullptr;  ///< null iff full and unpartitioned
   Module* watchers_[2] = {nullptr, nullptr};
 };
 
@@ -313,7 +315,7 @@ class Kernel {
   /// and read or watched in another is a data race by construction.
   void configure_partitions(std::size_t partitions, std::size_t threads);
 
-  bool partitioned() const { return !partitions_.empty(); }
+  bool partitioned() const { return partitions_.size() > 1; }
   std::size_t partition_count() const { return partitions_.size(); }
   std::size_t thread_count() const { return threads_; }
 
@@ -357,13 +359,11 @@ class Kernel {
     pool.signals.emplace_back(std::move(reset));
     ++signal_count_;
     Signal<T>& sig = pool.signals.back();
-    if (partitioned()) {
-      // Partitioned commits always walk per-partition dirty lists (the
-      // per-type pool sweep cannot be split by partition), under either
-      // scheduler.
+    // Only the unpartitioned full scheduler commits by pool sweep; every
+    // other shape walks its partition's dirty list (the sweep cannot be
+    // split by partition).
+    if (partitioned() || scheduler_ != Scheduler::kFull) {
       sig.dirty_list_ = &partitions_[creation_partition_]->dirty;
-    } else if (scheduler_ != Scheduler::kFull) {
-      sig.dirty_list_ = &dirty_;
     }
     return sig;
   }
@@ -374,10 +374,8 @@ class Kernel {
   /// tick list (a subsequence of the global registration order).
   void add_module(Module& module) {
     modules_.push_back(&module);
-    if (partitioned()) {
-      module.partition_ = creation_partition_;
-      partitions_[creation_partition_]->modules.push_back(&module);
-    }
+    module.partition_ = creation_partition_;
+    partitions_[creation_partition_]->modules.push_back(&module);
   }
 
   /// Registers a callback run after every commit (statistics probes).
@@ -390,8 +388,9 @@ class Kernel {
   }
 
   /// Advances one clock cycle: tick (awake) modules, commit staged
-  /// signals, update the active set (gated), run probes. Partitioned:
-  /// a one-cycle epoch (exact, just without lookahead batching).
+  /// signals, update the active set (event-driven), run probes. Never
+  /// leaps. Partitioned: a one-cycle epoch (exact, just without
+  /// lookahead batching).
   void step();
 
   /// Advances `cycles` clock cycles. Partitioned: runs epochs of up to
@@ -406,25 +405,26 @@ class Kernel {
                           std::uint64_t max_cycles);
 
   /// Parks `m` on the wake calendar for cycle `due` (time-leap scheduler).
-  /// Under kFull/kGated — or when `due` is not in the future — this wakes
+  /// Under kFull — or when `due` is not in the future — this wakes
   /// the module immediately instead: an extra awake tick is a no-op by the
   /// is_idle() contract, so callers need no scheduler-specific logic.
   void schedule_wake(Module& m, std::uint64_t due) {
-    if (scheduler_ != Scheduler::kTimeLeap || due <= cycle()) {
+    if (scheduler_ == Scheduler::kFull || due <= cycle()) {
       m.wake();
       return;
     }
-    if (partitioned()) {
-      partitions_[m.partition_]->calendar.schedule(due, &m);
-    } else {
-      calendar_.schedule(due, &m);
-    }
+    partitions_[m.partition_]->calendar.schedule(due, &m);
   }
 
   /// Cycles skipped (never walked) by time-leap clock jumps. 0 under
-  /// kFull/kGated; the bench suite reports leapt_cycles()/cycles as
-  /// leapt_frac.
+  /// kFull; the bench suite reports leapt_cycles()/cycles as leapt_frac.
   std::uint64_t leapt_cycles() const;
+
+  /// Module ticks executed so far, summed over partitions (each counts
+  /// its own, so threads never share the counter). Not part of digest().
+  /// ticks() / (module_count() * cycles) is the time-integrated awake
+  /// share; module_count() per cycle under kFull.
+  std::uint64_t ticks() const;
 
   /// Cycles elapsed since construction. Callable from module ticks even
   /// inside a lookahead epoch: the executing partition's local clock is
@@ -486,41 +486,53 @@ class Kernel {
     return *static_cast<SignalPool<T>*>(it->second);
   }
 
-  void step_gated();
-  void step_timeleap();
-  void step_partitions_fused();
-
-  /// Unpartitioned time-leap run loop: step while anything is awake, leap
-  /// cycle_ to the calendar's next due cycle when the active set drains.
-  void run_timeleap(std::uint64_t cycles);
-
-  /// Re-derives awake_n_ from the modules' awake flags. Needed at
-  /// run-entry: external wakes (push_transaction between runs) flip
-  /// awake_ without the kernel seeing them.
-  void refresh_awake_n();
-
   /// One execution group: its modules (a subsequence of modules_), its
   /// own dirty list (no sharing — commits race-free by construction),
-  /// and its clock inside the current epoch. The wake calendar and leap
-  /// counter are partition-local too, so the time-leap path stays free of
-  /// cross-thread state.
+  /// and its clock inside the current epoch. The wake calendar and the
+  /// leap and tick counters are partition-local too, so the event-driven
+  /// path stays free of cross-thread state. An unpartitioned kernel is
+  /// partition 0 of 1.
   struct Partition {
     std::vector<Module*> modules;
     DirtyList dirty;
     std::uint64_t local_cycle = 0;
     WakeCalendar calendar;
-    std::size_t awake_n = 0;
     std::uint64_t leapt = 0;
+    std::uint64_t ticks = 0;
   };
+
+  /// One full-scheduler cycle: tick every module in `mods`, then commit —
+  /// by pool sweep when unpartitioned, else the dirty lists of partitions
+  /// [first, last).
+  void full_cycle(const std::vector<Module*>& mods, std::size_t first,
+                  std::size_t last);
+
+  /// The event-driven per-cycle body at cycle `now`: serve the calendars
+  /// of partitions [first, last), tick the awake modules of `mods`,
+  /// commit those partitions' dirty lists, then settle the active set —
+  /// a busy module whose next self-driven change lies beyond the next
+  /// cycle parks on its partition's calendar. Returns the modules awake
+  /// for the next cycle. Ticks are counted in partition `first`.
+  std::size_t event_cycle(const std::vector<Module*>& mods,
+                          std::size_t first, std::size_t last,
+                          std::uint64_t now);
+
+  /// The advance loop for one partition: runs cycles on `clock` until it
+  /// reaches `end` or `done()` holds at a cycle boundary. With `may_leap`
+  /// (event-driven only) a drained active set leaps `clock` to the
+  /// partition calendar's next due cycle, capped at `end` — the caller's
+  /// bound, or the epoch barrier inside an epoch.
+  template <typename Done>
+  void advance(std::size_t part, std::uint64_t& clock, std::uint64_t end,
+               bool may_leap, const Done& done);
 
   /// Runs every partition for `k` cycles (pooled or serial), advances
   /// global time, then flushes cuts in registration order.
   void run_epoch(std::uint64_t k);
 
-  /// Advances one partition `k` cycles: per-cycle tick / dirty-commit /
-  /// active-set update against the partition's local clock. Called from
-  /// worker threads; touches only partition-local state.
-  void run_partition(Partition& p, std::uint64_t k);
+  /// Advances partition `part` `k` cycles against its local clock.
+  /// Called from worker threads; touches only partition-local state.
+  void run_partition(std::size_t part, std::uint64_t k);
 
   friend class PartitionPool;
 
@@ -529,16 +541,11 @@ class Kernel {
   std::vector<std::unique_ptr<SignalPoolBase>> pools_;
   std::unordered_map<std::type_index, SignalPoolBase*> pool_index_;
   std::size_t signal_count_ = 0;
-  DirtyList dirty_;  ///< signals written this cycle (gated, unpartitioned)
   std::vector<std::function<void(std::uint64_t)>> probes_;
   std::uint64_t cycle_ = 0;
+  std::uint64_t leapt_cycles_ = 0;  ///< wholesale all-partition leaps
 
-  // Time-leap scheduler (unpartitioned; partitions carry their own).
-  WakeCalendar calendar_;
-  std::size_t awake_n_ = 0;      ///< modules ticked last step_timeleap
-  std::uint64_t leapt_cycles_ = 0;
-
-  // Partitioned execution (empty/idle unless configure_partitions ran).
+  // One partition unless configure_partitions split the kernel.
   std::vector<std::unique_ptr<Partition>> partitions_;
   std::vector<CutChannel*> cuts_;
   std::size_t creation_partition_ = 0;

@@ -40,12 +40,18 @@ TEST(Checkpoint, FormatRoundTripsExactly) {
   EXPECT_EQ(ckpt.results.size(), spec.num_points());
 
   const std::string text = write_checkpoint(ckpt);
+  // tiny_spec keeps the default `scheduler gated`, the legacy spelling of
+  // time_leap that every sidecar written before the fold carries.
+  EXPECT_NE(text.find("scheduler gated\n"), std::string::npos);
   Checkpoint reparsed = parse_checkpoint(text);
   // Canonical: serializing the parsed form reproduces the bytes.
   EXPECT_EQ(write_checkpoint(reparsed), text);
 
   const SweepSpec restored = checkpoint_spec(reparsed);
   EXPECT_EQ(restored.num_points(), spec.num_points());
+  for (std::size_t i = 0; i < restored.num_points(); ++i) {
+    EXPECT_EQ(restored.point(i).net.scheduler, sim::Scheduler::kTimeLeap);
+  }
   ASSERT_EQ(reparsed.results.size(), table.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
     const SweepResult& a = table.row(i);
@@ -166,44 +172,36 @@ TEST(Checkpoint, ResumeIsByteIdenticalAcrossSimThreadCounts) {
 }
 
 TEST(Checkpoint, ResumeIsByteIdenticalAcrossSchedulerChoice) {
-  // tiny_spec carries no scheduler directive, so the resolver picks per
-  // point by load (time-leap at the low rates, gated above). A resume may
-  // land on a different choice — an xsweep --gated/--timeleap override,
-  // or a changed auto_scheduler threshold — and must still finish with
+  // A resume may land on a different scheduler — xsweep --resume
+  // --ungated switches to the full oracle — and must still finish with
   // the same bytes: schedulers are throughput knobs, never axes.
-  SweepSpec gated = tiny_spec();
-  gated.scheduler = "gated";
-  gated.scheduler_pinned = true;
-  const ResultTable reference = SweepRunner(1).run(gated);
+  SweepSpec full = tiny_spec();
+  full.scheduler = "full";
+  const ResultTable reference = SweepRunner(1).run(full);
   const std::string ref_csv = reference.to_csv();
   const std::string ref_json = reference.to_json();
 
-  // Unpinned (mixed-scheduler) campaign: same exports, and the sidecar
-  // bytes are identical too — a checkpoint never records the choice.
-  const SweepSpec auto_spec = tiny_spec();
-  const ResultTable auto_table = SweepRunner(1).run(auto_spec);
-  EXPECT_EQ(auto_table.to_csv(), ref_csv);
-  EXPECT_EQ(auto_table.to_json(), ref_json);
-  EXPECT_EQ(write_checkpoint(make_checkpoint(auto_spec, auto_table)),
-            write_checkpoint(make_checkpoint(gated, reference)));
+  // The default campaign (time-leap) exports the same bytes.
+  const SweepSpec spec = tiny_spec();
+  const ResultTable leap_table = SweepRunner(1).run(spec);
+  EXPECT_EQ(leap_table.to_csv(), ref_csv);
+  EXPECT_EQ(leap_table.to_json(), ref_json);
 
-  // Interrupt under the auto choice, resume pinned to time_leap (as
-  // xsweep --resume --timeleap would).
+  // Interrupt under time-leap, resume under the full oracle.
   Checkpoint saved;
   {
     const SweepRunner runner(1);
     RunOptions opts;
     opts.halt_after = 3;
     opts.on_progress = [&](const ResultTable& partial) {
-      saved = make_checkpoint(auto_spec, partial);
+      saved = make_checkpoint(spec, partial);
     };
-    runner.run(auto_spec, opts);
+    runner.run(spec, opts);
   }
   Checkpoint reloaded = parse_checkpoint(write_checkpoint(saved));
   ASSERT_EQ(reloaded.results.size(), 3u);
   SweepSpec restored = checkpoint_spec(reloaded);
-  restored.scheduler = "time_leap";
-  restored.scheduler_pinned = true;
+  restored.scheduler = "full";
   RunOptions opts;
   opts.resume = &reloaded.results;
   const ResultTable table = SweepRunner(1).run(restored, opts);

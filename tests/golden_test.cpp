@@ -5,9 +5,10 @@
 // were generated *before* the hot-path refactor (inline flit storage,
 // pooled signal commit, ring-buffer FIFOs) landed, so any refactor of the
 // core must reproduce the seed behaviour bit for bit to stay green. Both
-// kernel schedulers are pinned: the default runs exercise `scheduler
-// gated`, and the scheduler-invariance test re-runs the campaign under
-// `scheduler full` against the same bytes.
+// kernel schedulers are pinned: the default runs exercise the event-driven
+// time-leap scheduler (`scheduler gated`, the default spelling, is its
+// legacy name), and the scheduler-invariance tests re-run the artifacts
+// under `scheduler full` against the same bytes.
 //
 // Regenerating (only when an intentional behaviour change is reviewed):
 //   XPL_UPDATE_GOLDEN=1 ./golden_test
@@ -19,6 +20,7 @@
 #include <string>
 
 #include "src/link/flow.hpp"
+#include "src/sweep/checkpoint.hpp"
 #include "src/sweep/runner.hpp"
 #include "src/sweep/spec.hpp"
 #include "src/topology/generators.hpp"
@@ -98,16 +100,13 @@ TEST(Golden, CampaignIsThreadCountInvariant) {
 }
 
 TEST(Golden, CampaignIsSchedulerInvariantAgainstGolden) {
-  // The pinned artifacts predate the activity-gated kernel. The unpinned
-  // runs above leave the scheduler to auto_scheduler() (time-leap at this
-  // campaign's low rate); this pins `scheduler full` against the *same*
-  // bytes, so the schedulers are anchored to the seed behaviour
+  // The pinned artifacts predate the event-driven kernel. The default
+  // runs above use time-leap; this pins `scheduler full` against the
+  // *same* bytes, so the schedulers are anchored to the seed behaviour
   // independently (not merely to each other).
   sweep::SweepSpec spec = sweep::parse_sweep(kCampaignSpec);
   ASSERT_EQ(spec.scheduler, "gated");  // the campaign-wide default
-  ASSERT_FALSE(spec.scheduler_pinned);
   spec.scheduler = "full";
-  spec.scheduler_pinned = true;
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   expect_golden("campaign.csv", table.to_csv());
@@ -116,17 +115,36 @@ TEST(Golden, CampaignIsSchedulerInvariantAgainstGolden) {
 
 TEST(Golden, CampaignIsTimeLeapInvariantAgainstGolden) {
   // Pins `scheduler time_leap` — quiescent cycle gaps skipped via the
-  // wake calendar (DESIGN.md §12) — directly against the pre-time-leap
-  // artifact bytes, gated and pinned `scheduler gated` likewise.
+  // wake calendar (DESIGN.md §9) — directly against the pre-time-leap
+  // artifact bytes, and its legacy spelling `scheduler gated` likewise.
   for (const char* name : {"time_leap", "gated"}) {
     sweep::SweepSpec spec = sweep::parse_sweep(kCampaignSpec);
     spec.scheduler = name;
-    spec.scheduler_pinned = true;
     sweep::SweepRunner runner(1);
     const sweep::ResultTable table = runner.run(spec);
     expect_golden("campaign.csv", table.to_csv());
     expect_golden("campaign.json", table.to_json());
   }
+}
+
+TEST(Golden, LegacyGatedCheckpointResumesToGolden) {
+  // campaign_gated.ckpt is a sidecar written by `xsweep --checkpoint
+  // --halt-after 5` while `gated` was still a scheduler of its own; its
+  // embedded spec says `scheduler gated`. Resuming it (the spelling now
+  // resolves to time-leap) must finish with the pinned bytes.
+  sweep::Checkpoint ckpt = sweep::load_checkpoint(
+      golden_dir() + "campaign_gated.ckpt");
+  ASSERT_EQ(ckpt.results.size(), 5u);
+  const sweep::SweepSpec spec = sweep::checkpoint_spec(ckpt);
+  ASSERT_EQ(spec.scheduler, "gated");
+  ASSERT_EQ(sweep::write_sweep(spec),
+            sweep::write_sweep(sweep::parse_sweep(kCampaignSpec)));
+  ASSERT_EQ(spec.point(0).net.scheduler, sim::Scheduler::kTimeLeap);
+  sweep::RunOptions opts;
+  opts.resume = &ckpt.results;
+  const sweep::ResultTable table = sweep::SweepRunner(1).run(spec, opts);
+  expect_golden("campaign.csv", table.to_csv());
+  expect_golden("campaign.json", table.to_json());
 }
 
 TEST(Golden, CampaignIsPartitionedTimeLeapInvariantAgainstGolden) {
@@ -137,7 +155,6 @@ TEST(Golden, CampaignIsPartitionedTimeLeapInvariantAgainstGolden) {
   spec.partitions = 4;
   spec.threads = 4;
   spec.scheduler = "time_leap";
-  spec.scheduler_pinned = true;
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   expect_golden("campaign.csv", table.to_csv());
@@ -186,10 +203,11 @@ TEST(Golden, FlowCampaignCsvIsByteStable) {
   expect_golden("campaign_flow.csv", table.to_csv());
 }
 
-/// The low-load campaign: injection rates so sparse that the gated
-/// scheduler skips most of the network most cycles — the regime the
-/// activity gating optimizes. Pinned so the fast path has a golden of
-/// its own, and cross-checked against the full scheduler in-test.
+/// The low-load campaign: injection rates so sparse that the event-driven
+/// scheduler skips most of the network most cycles and leaps most
+/// cycle gaps — the regime it optimizes. Pinned so the fast path has a
+/// golden of its own, and cross-checked against the full scheduler
+/// in-test.
 const char* kLowLoadCampaignSpec =
     "sweep golden_lowload\n"
     "seed 13\n"
@@ -201,18 +219,15 @@ const char* kLowLoadCampaignSpec =
     "injection_rate 0.002 0.01\n";
 
 TEST(Golden, LowLoadCampaignCsvIsByteStable) {
-  // Unpinned: auto_scheduler() picks time-leap at these rates, so the
-  // default leg anchors the leaping kernel to the pinned bytes; the
-  // pinned gated and full legs cross-check the per-cycle schedulers.
+  // The default leg anchors the leaping kernel to the pinned bytes; the
+  // explicit time_leap spelling and the full oracle cross-check it.
   sweep::SweepSpec spec = sweep::parse_sweep(kLowLoadCampaignSpec);
-  ASSERT_FALSE(spec.scheduler_pinned);
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   for (const auto& r : table.rows()) ASSERT_TRUE(r.ok) << r.error;
   expect_golden("campaign_lowload.csv", table.to_csv());
 
-  spec.scheduler_pinned = true;
-  for (const char* name : {"gated", "full"}) {
+  for (const char* name : {"time_leap", "full"}) {
     spec.scheduler = name;
     const sweep::ResultTable pinned_table = runner.run(spec);
     EXPECT_EQ(pinned_table.to_csv(), table.to_csv()) << name;
@@ -239,15 +254,16 @@ TEST(Golden, RecordedTraceIsByteStable) {
   expect_golden("run.trace", workload::write_trace(recorder.trace()));
 }
 
-TEST(Golden, RecordedTraceIsTimeLeapInvariant) {
-  // Same scenario under the time-leap scheduler: the driver runs through
-  // its injector module (lookahead rolls, calendar sleeps) and the
-  // recorded `.trace` must still match the pinned bytes — release
-  // cycles, not roll cycles, are what the recorder sees.
+TEST(Golden, RecordedTraceIsSchedulerInvariant) {
+  // Same scenario under the full scheduler. The default (time-leap) run
+  // above drives through the injector module (lookahead rolls, calendar
+  // sleeps); the full oracle rolls per cycle, and the recorded `.trace`
+  // must match the same pinned bytes — release cycles, not roll cycles,
+  // are what the recorder sees.
   noc::NetworkConfig cfg;
   cfg.routing = topology::RoutingAlgorithm::kXY;
   cfg.target_window = 1 << 12;
-  cfg.scheduler = sim::Scheduler::kTimeLeap;
+  cfg.scheduler = sim::Scheduler::kFull;
   noc::Network net(
       topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)), cfg);
 

@@ -1,12 +1,11 @@
-// Differential kernel-equivalence suite (PR 7's headline proof,
-// extended to the time-leap scheduler in PR 10).
+// Differential kernel-equivalence suite.
 //
-// The gated and time-leap schedulers must be indistinguishable from the
-// full scheduler on every observable. These tests drive the
-// differential harness (tests/support/differential.hpp) over randomized
-// topologies × traffic × flow control × lane counts — per-cycle and
-// chunked for the time-leap twin, partitioned across {2,4} partitions ×
-// {2,4} threads — and additionally pin campaign CSV/JSON exports and
+// The event-driven time-leap scheduler must be indistinguishable from
+// the full scheduler, the reference oracle, on every observable. These
+// tests drive the differential harness (tests/support/differential.hpp)
+// over randomized topologies × traffic × flow control × lane counts —
+// per-cycle and chunked, partitioned across {2,4} partitions × {2,4}
+// threads — and additionally pin campaign CSV/JSON exports and
 // recorded-trace bytes across the schedulers. Failures shrink to a
 // minimal reproducing scenario and print the first divergent cycle plus
 // the modules whose state differs.
@@ -28,10 +27,8 @@ namespace {
 
 using testsupport::DiffScenario;
 using testsupport::run_differential;
+using testsupport::run_differential_partitioned;
 using testsupport::run_differential_shrunk;
-using testsupport::run_differential_timeleap;
-using testsupport::run_differential_timeleap_partitioned;
-using testsupport::run_differential_timeleap_shrunk;
 
 /// Draws one random-but-valid scenario. Every combination is kept
 /// deadlock-free by construction: minimal routing on rings/tori only
@@ -97,34 +94,31 @@ DiffScenario random_scenario(std::uint64_t seed) {
   return s;
 }
 
-/// The randomized sweep: >= 200 seeds by default. XPL_EQUIV_TRIALS
-/// overrides the count (the CI kernel-equiv job raises it; local
-/// debugging can lower it).
-TEST(KernelEquiv, RandomizedScenariosAreBitExact) {
+/// Runs the randomized sweep over `trials` seeds from `base`: >= 200 by
+/// default. XPL_EQUIV_TRIALS overrides the count (the CI kernel-equiv job
+/// raises it; local debugging can lower it). Every seed is proven
+/// per-cycle (leaps digest-checked inside the leapt region) and chunked
+/// (injector + multi-cycle leaps) against the full scheduler.
+void expect_randomized_bit_exact(std::uint64_t base) {
   std::size_t trials = 200;
   if (const char* env = std::getenv("XPL_EQUIV_TRIALS")) {
     trials = static_cast<std::size_t>(std::atoll(env));
   }
   for (std::size_t t = 0; t < trials; ++t) {
-    const DiffScenario scenario = random_scenario(0xD1FF0000 + t);
+    const DiffScenario scenario = random_scenario(base + t);
     const auto result = run_differential_shrunk(scenario);
     ASSERT_TRUE(result.ok) << "trial " << t << ": " << result.detail;
   }
 }
 
-/// The same randomized sweep against the time-leap scheduler: >= 200
-/// fresh seeds, each proven per-cycle (leaps digest-checked inside the
-/// leapt region) and chunked (injector + multi-cycle leaps).
+/// Two independent seed families, so a regression that one draw happens
+/// to miss has a second chance to show.
+TEST(KernelEquiv, RandomizedScenariosAreBitExact) {
+  expect_randomized_bit_exact(0xD1FF0000);
+}
+
 TEST(KernelEquiv, TimeLeapRandomizedScenariosAreBitExact) {
-  std::size_t trials = 200;
-  if (const char* env = std::getenv("XPL_EQUIV_TRIALS")) {
-    trials = static_cast<std::size_t>(std::atoll(env));
-  }
-  for (std::size_t t = 0; t < trials; ++t) {
-    const DiffScenario scenario = random_scenario(0x7EA90000 + t);
-    const auto result = run_differential_timeleap_shrunk(scenario);
-    ASSERT_TRUE(result.ok) << "trial " << t << ": " << result.detail;
-  }
+  expect_randomized_bit_exact(0x7EA90000);
 }
 
 /// Partitioned time-leap twins across the full {2,4} partitions ×
@@ -157,8 +151,7 @@ TEST(KernelEquiv, TimeLeapPartitionedMatrixIsBitExact) {
   for (const DiffScenario& scenario : scenarios) {
     for (const std::size_t p : partition_counts) {
       for (const std::size_t t : thread_counts) {
-        const auto result =
-            run_differential_timeleap_partitioned(scenario, p, t);
+        const auto result = run_differential_partitioned(scenario, p, t);
         ASSERT_TRUE(result.ok)
             << "p=" << p << " t=" << t << ": " << result.detail;
       }
@@ -184,19 +177,16 @@ TEST(KernelEquiv, CornerScenariosAreBitExact) {
   corners[4].bit_error_rate = 1e-3;  // heavy corruption + retransmit
   corners[4].cycles = 500;
   corners[5].topology = "mesh";
-  corners[5].injection_rate = 0.002;  // near-silent: gating dominates
+  corners[5].injection_rate = 0.002;  // near-silent: leaping dominates
   corners[5].cycles = 600;
   for (std::size_t i = 0; i < 6; ++i) {
     const auto result = run_differential(corners[i]);
     ASSERT_TRUE(result.ok) << "corner " << i << ": " << result.detail;
-    const auto leap_result = run_differential_timeleap(corners[i]);
-    ASSERT_TRUE(leap_result.ok)
-        << "corner " << i << " (time-leap): " << leap_result.detail;
   }
 }
 
 /// Campaign-level equality: the same sweep spec with `scheduler full`
-/// vs `scheduler gated` must export byte-identical CSV and JSON.
+/// vs the default (time-leap) must export byte-identical CSV and JSON.
 TEST(KernelEquiv, CampaignExportsAreSchedulerInvariant) {
   const char* kSpec =
       "sweep equiv\n"
@@ -209,12 +199,12 @@ TEST(KernelEquiv, CampaignExportsAreSchedulerInvariant) {
       "injection_rate 0.02 0.15\n";
   sweep::SweepSpec full_spec = sweep::parse_sweep(kSpec);
   full_spec.scheduler = "full";
-  sweep::SweepSpec gated_spec = sweep::parse_sweep(kSpec);
-  ASSERT_EQ(gated_spec.scheduler, "gated");  // the default
+  const sweep::SweepSpec leap_spec = sweep::parse_sweep(kSpec);
+  ASSERT_EQ(leap_spec.point(0).net.scheduler, sim::Scheduler::kTimeLeap);
   const auto full_table = sweep::SweepRunner(1).run(full_spec);
-  const auto gated_table = sweep::SweepRunner(1).run(gated_spec);
-  EXPECT_EQ(full_table.to_csv(), gated_table.to_csv());
-  EXPECT_EQ(full_table.to_json(), gated_table.to_json());
+  const auto leap_table = sweep::SweepRunner(1).run(leap_spec);
+  EXPECT_EQ(full_table.to_csv(), leap_table.to_csv());
+  EXPECT_EQ(full_table.to_json(), leap_table.to_json());
 }
 
 /// Recorded traces must be byte-identical across schedulers: the
@@ -239,20 +229,20 @@ TEST(KernelEquiv, RecordedTraceBytesAreSchedulerInvariant) {
     return workload::write_trace(recorder.trace());
   };
   const std::string full = record(sim::Scheduler::kFull);
-  const std::string gated = record(sim::Scheduler::kGated);
+  const std::string leap = record(sim::Scheduler::kTimeLeap);
   ASSERT_FALSE(full.empty());
-  EXPECT_EQ(full, gated);
+  EXPECT_EQ(full, leap);
 }
 
-/// Sanity that the optimization is real: at low load the gated kernel
-/// must actually skip most modules most cycles (otherwise these
+/// Sanity that the optimization is real: at low load the event-driven
+/// kernel must actually skip most modules most cycles (otherwise these
 /// equivalence proofs are vacuous).
-TEST(KernelEquiv, GatedKernelActuallySkipsIdleModules) {
+TEST(KernelEquiv, EventDrivenKernelActuallySkipsIdleModules) {
   DiffScenario s;
   s.injection_rate = 0.002;
   s.cycles = 400;
   noc::Network net(s.build_topology(),
-                   s.net_config(sim::Scheduler::kGated));
+                   s.net_config(sim::Scheduler::kTimeLeap));
   traffic::TrafficDriver driver(net, s.traffic_config());
   std::uint64_t awake_sum = 0;
   std::uint64_t min_awake = net.kernel().module_count();
@@ -266,9 +256,9 @@ TEST(KernelEquiv, GatedKernelActuallySkipsIdleModules) {
   const std::uint64_t modules = net.kernel().module_count();
   // Some cycle must have put the majority of the network to sleep.
   EXPECT_LT(min_awake, modules / 2)
-      << "gating never idled half the network at near-zero load";
+      << "the kernel never idled half the network at near-zero load";
   EXPECT_LT(awake_sum, s.cycles * modules)
-      << "gating skipped nothing over the whole run";
+      << "the kernel skipped nothing over the whole run";
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 namespace fixture {
 
-// A concrete module that never claims quiescence: the gated scheduler
+// A concrete module that never claims quiescence: the event-driven scheduler
 // could never skip it, and nothing documents whether that is intended.
 class Counter : public sim::Module {  // xlint-expect: XL201
  public:

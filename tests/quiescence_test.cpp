@@ -1,6 +1,6 @@
-// Per-module quiescence invariants for the activity-gated scheduler.
+// Per-module quiescence invariants for the event-driven scheduler.
 //
-// The gated kernel skips a module whenever its is_idle() predicate
+// The event-driven kernel skips a module whenever its is_idle() predicate
 // holds, so the predicate's contract is load-bearing for correctness:
 // is_idle() may return true only when the next tick would provably
 // change no internal state and write no signal value differing from
@@ -13,7 +13,7 @@
 //    claim is verified by stepping once more and requiring the kernel
 //    digest to be a fixed point;
 //  * module-level: each network module class must actually reach idle
-//    after a drain (gating must not be vacuous), must stay awake
+//    after a drain (skipping must not be vacuous), must stay awake
 //    through time-driven state (SlaveCore's latency window), and the
 //    network as a whole must never be fully asleep with work pending.
 //
@@ -100,7 +100,7 @@ class Counter : public sim::Module {
 };
 
 TEST(Quiescence, ActiveSetDrainsToZeroAndDigestIsAFixedPoint) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 3);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -116,7 +116,7 @@ TEST(Quiescence, ActiveSetDrainsToZeroAndDigestIsAFixedPoint) {
 }
 
 TEST(Quiescence, WatchedWriteWakesASleepingConsumer) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 0);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -142,7 +142,7 @@ TEST(Quiescence, ExplicitWakeArmsTheCurrentCycle) {
   // wake() must make the very next step() tick the module — matching the
   // full scheduler for externally injected work (MasterCore's
   // push_transaction is this exact pattern).
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 1);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -158,7 +158,7 @@ TEST(Quiescence, ExplicitWakeArmsTheCurrentCycle) {
 }
 
 TEST(Quiescence, BothWatcherSlotsAreWoken) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 0);
   Counter first(pulser.out(), "first");
   Counter second(pulser.out(), "second");  // second watcher slot
@@ -285,7 +285,7 @@ TEST(Quiescence, MasterIdleTracksItsWorkQueue) {
 
 TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   // The service-latency wait is time-driven: no wire write will re-arm
-  // the slave, so is_idle() == true mid-window would hang the gated
+  // the slave, so is_idle() == true mid-window would hang the event-driven
   // kernel. Probe the middle of a long window directly.
   OcpBench b(/*latency=*/30);
   ocp::Transaction txn;
@@ -386,7 +386,9 @@ TEST(Quiescence, NetworkIsNeverFullyAsleepWithWorkPending) {
 TEST(Quiescence, OnlyTheSlaveStaysUpDuringItsServiceWindow) {
   // End-to-end view of the latency-window contract: one read through a
   // quiet network; while the slave waits out its (long) service latency
-  // everything else goes to sleep around it.
+  // everything else goes to sleep around it. The slave itself parks on
+  // the wake calendar — its next self-driven change is the window's end —
+  // so the kernel leaps the window instead of walking it.
   noc::NetworkConfig cfg = mesh_config();
   cfg.slave_latency = 60;
   noc::Network net(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),
@@ -408,9 +410,10 @@ TEST(Quiescence, OnlyTheSlaveStaysUpDuringItsServiceWindow) {
   }
   ASSERT_TRUE(net.quiescent());
   EXPECT_EQ(net.master(0).completed().size(), 1u);
-  EXPECT_GE(min_busy_awake, 1u);
   EXPECT_LE(min_busy_awake, 2u)
       << "the service window should idle everything but the slave";
+  EXPECT_GE(net.kernel().leapt_cycles(), cfg.slave_latency / 2)
+      << "the service window was walked instead of leapt";
 }
 
 }  // namespace

@@ -58,25 +58,50 @@ TEST(SpecIo, ParsesEveryDirective) {
 }
 
 TEST(SpecIo, ParsedSpecCompilesAndSimulates) {
-  const NocSpec spec = parse_spec(kSample);
-  XpipesCompiler xpipes;
-  auto net = xpipes.build_simulation(spec);
-  net->slave(0).poke(0x8, 0x1234);
-  ocp::Transaction txn;
-  txn.cmd = ocp::Cmd::kRead;
-  txn.addr = net->target_base(0) + 0x8;
-  txn.burst_len = 1;
-  net->master(0).push_transaction(txn);
-  net->run_until_quiescent(10000);
-  ASSERT_EQ(net->master(0).completed().size(), 1u);
-  EXPECT_EQ(net->master(0).completed()[0].data.at(0), 0x1234u);
+  // `scheduler gated` is the legacy spelling of the default time-leap
+  // scheduler and must build the same network.
+  for (const std::string directive : {"", "scheduler gated\n"}) {
+    const NocSpec spec = parse_spec(directive + kSample);
+    XpipesCompiler xpipes;
+    auto net = xpipes.build_simulation(spec);
+    EXPECT_EQ(net->kernel().scheduler(), sim::Scheduler::kTimeLeap);
+    net->slave(0).poke(0x8, 0x1234);
+    ocp::Transaction txn;
+    txn.cmd = ocp::Cmd::kRead;
+    txn.addr = net->target_base(0) + 0x8;
+    txn.burst_len = 1;
+    net->master(0).push_transaction(txn);
+    net->run_until_quiescent(10000);
+    ASSERT_EQ(net->master(0).completed().size(), 1u);
+    EXPECT_EQ(net->master(0).completed()[0].data.at(0), 0x1234u);
+  }
 }
 
 TEST(SpecIo, RoundTripIsStable) {
-  const NocSpec spec = parse_spec(kSample);
-  const std::string once = write_spec(spec);
-  const std::string twice = write_spec(parse_spec(once));
-  EXPECT_EQ(once, twice);
+  // One input per scheduler spelling. The canonical form omits the
+  // time-leap default, so `gated` (its legacy spelling) and `time_leap`
+  // re-emit the bytes of a spec without the directive.
+  const std::string plain = write_spec(parse_spec(kSample));
+  const struct {
+    const char* directive;
+    sim::Scheduler resolved;
+    bool emitted;
+  } cases[] = {{"", sim::Scheduler::kTimeLeap, false},
+               {"scheduler gated\n", sim::Scheduler::kTimeLeap, false},
+               {"scheduler time_leap\n", sim::Scheduler::kTimeLeap, false},
+               {"scheduler full\n", sim::Scheduler::kFull, true}};
+  for (const auto& c : cases) {
+    const NocSpec spec = parse_spec(c.directive + std::string(kSample));
+    EXPECT_EQ(spec.net.scheduler, c.resolved) << c.directive;
+    const std::string once = write_spec(spec);
+    const std::string twice = write_spec(parse_spec(once));
+    EXPECT_EQ(once, twice) << c.directive;
+    EXPECT_EQ(once.find("scheduler") != std::string::npos, c.emitted)
+        << c.directive;
+    if (!c.emitted) {
+      EXPECT_EQ(once, plain) << c.directive;
+    }
+  }
 }
 
 TEST(SpecIo, GeneratedTopologyRoundTrips) {
@@ -175,6 +200,7 @@ TEST(SpecIo, RejectsMalformedInput) {
   EXPECT_THROW(parse_spec("link a b\n"), Error);  // unknown switches
   EXPECT_THROW(parse_spec("switch a\nswitch a\n"), Error);  // duplicate
   EXPECT_THROW(parse_spec("routing diagonal\n"), Error);
+  EXPECT_THROW(parse_spec("scheduler activity\n"), Error);
   EXPECT_THROW(parse_spec("switch a\ninitiator x on a\n"), Error);
   // New-directive malformations.
   EXPECT_THROW(parse_spec("input_fifo 0\n"), Error);

@@ -1,15 +1,15 @@
-// Differential kernel-equivalence harness (PR 7, extended in PR 10).
+// Differential kernel-equivalence harness.
 //
-// The activity-gated scheduler (sim::Scheduler::kGated) and the
-// time-leap scheduler (sim::Scheduler::kTimeLeap) are pure
-// optimizations: each must be *bit-exact* against the full scheduler on
-// every observable — per-cycle signal values, end-of-run statistics,
-// campaign exports, recorded traces. This header is the proof engine:
-// it builds two identically-configured networks, one per scheduler,
-// drives them in lockstep with twin traffic generators, and compares
-// the kernels' signal digests every cycle. A divergence is reported
-// with the first divergent cycle and the modules whose state differs,
-// and scenarios shrink toward a minimal reproduction before reporting.
+// The event-driven scheduler (sim::Scheduler::kTimeLeap) and the
+// partitioned kernel are pure optimizations: each must be *bit-exact*
+// against the full scheduler — the reference oracle — on every
+// observable: per-cycle signal values, end-of-run statistics, campaign
+// exports, recorded traces. This header is the proof engine: it builds
+// two identically-configured networks, drives them in lockstep with twin
+// traffic generators, and compares the kernels' signal digests. A
+// divergence is reported with the first divergent cycle and the modules
+// whose state differs, and scenarios shrink toward a minimal
+// reproduction before reporting.
 //
 // The time-leap twin is proven at two granularities. Network::step()
 // routes through Kernel::run(1), so a per-cycle-driven kTimeLeap
@@ -21,12 +21,12 @@
 // cycle counts where the two clocks realign.
 //
 // Used by tests/kernel_equiv_test.cpp (randomized sweep),
-// tests/timeleap_test.cpp (leap corners), the fuzz suite, and the
-// wake-hazard regression tests.
+// tests/timeleap_test.cpp (leap corners), tests/partition_test.cpp, the
+// fuzz suite, and the wake-hazard regression tests.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -134,106 +134,107 @@ namespace detail {
 /// mismatch — digest divergence says *when*, this says *where*. The
 /// labels default to the scheduler-equivalence pairing; the partition
 /// harness passes "ref"/"part".
-inline std::string attribute_divergence(noc::Network& full,
-                                        noc::Network& gated,
+inline std::string attribute_divergence(noc::Network& ref,
+                                        noc::Network& twin,
                                         const char* label_a = "full",
-                                        const char* label_b = "gated") {
+                                        const char* label_b = "leap") {
   std::ostringstream os;
-  for (std::size_t s = 0; s < full.num_switches(); ++s) {
-    const std::string a = full.switch_at(s).debug_state();
-    const std::string b = gated.switch_at(s).debug_state();
+  for (std::size_t s = 0; s < ref.num_switches(); ++s) {
+    const std::string a = ref.switch_at(s).debug_state();
+    const std::string b = twin.switch_at(s).debug_state();
     if (a != b) {
       os << "\n  switch " << s << " " << label_a << ":  " << a
          << "\n  switch " << s << " " << label_b << ": " << b;
     }
   }
-  for (std::size_t i = 0; i < full.num_initiators(); ++i) {
-    if (full.master(i).issued_count() != gated.master(i).issued_count() ||
-        full.master(i).completed().size() !=
-            gated.master(i).completed().size()) {
+  for (std::size_t i = 0; i < ref.num_initiators(); ++i) {
+    if (ref.master(i).issued_count() != twin.master(i).issued_count() ||
+        ref.master(i).completed().size() !=
+            twin.master(i).completed().size()) {
       os << "\n  master " << i << ": issued "
-         << full.master(i).issued_count() << "/"
-         << gated.master(i).issued_count() << " completed "
-         << full.master(i).completed().size() << "/"
-         << gated.master(i).completed().size();
+         << ref.master(i).issued_count() << "/"
+         << twin.master(i).issued_count() << " completed "
+         << ref.master(i).completed().size() << "/"
+         << twin.master(i).completed().size();
     }
   }
-  for (std::size_t t = 0; t < full.num_targets(); ++t) {
-    if (full.target_ni(t).packets_received() !=
-        gated.target_ni(t).packets_received()) {
+  for (std::size_t t = 0; t < ref.num_targets(); ++t) {
+    if (ref.target_ni(t).packets_received() !=
+        twin.target_ni(t).packets_received()) {
       os << "\n  target_ni " << t << ": packets_received "
-         << full.target_ni(t).packets_received() << "/"
-         << gated.target_ni(t).packets_received();
+         << ref.target_ni(t).packets_received() << "/"
+         << twin.target_ni(t).packets_received();
     }
   }
-  os << "\n  awake(" << label_b << ") = " << gated.kernel().awake_count()
-     << "/" << gated.kernel().module_count();
+  os << "\n  awake(" << label_b << ") = " << twin.kernel().awake_count()
+     << "/" << twin.kernel().module_count();
   return os.str();
 }
 
-}  // namespace detail
-
-/// Lockstep comparator over caller-built twins: `full` and `gated` must
-/// be identically constructed except for the scheduler, and the drivers
-/// identically seeded. Drives both for `cycles`, then drains, comparing
-/// the kernels' signal digests after every cycle and the end-of-run
-/// statistics at the end. `describe` labels the failure report. This is
-/// the reusable core: DiffScenario-based callers go through
-/// run_differential below; suites with their own topology generators
-/// (tests/fuzz_test.cpp) call this directly. The labels default to the
-/// full/gated pairing; the time-leap runners pass "gated"/"leap".
-inline DiffResult run_lockstep(noc::Network& full, noc::Network& gated,
-                               traffic::TrafficDriver& full_driver,
-                               traffic::TrafficDriver& gated_driver,
-                               std::size_t cycles, std::size_t drain_cycles,
-                               const std::string& describe,
-                               const char* label_a = "full",
-                               const char* label_b = "gated") {
+/// Drives `ref` and `twin` through `cycles` driven cycles — per cycle
+/// via driver.step() + net.step() when `spans` is empty, else in
+/// driver.run() spans cycling through `spans` — then drains both in
+/// `drain_span` windows. Digests are compared after every cycle or span,
+/// quiescence at the end of the drain, then the end-of-run statistics.
+inline DiffResult lockstep(noc::Network& ref, noc::Network& twin,
+                           traffic::TrafficDriver& ref_driver,
+                           traffic::TrafficDriver& twin_driver,
+                           std::size_t cycles, std::size_t drain_cycles,
+                           const std::vector<std::size_t>& spans,
+                           std::size_t drain_span,
+                           const std::string& describe, const char* label_a,
+                           const char* label_b) {
   DiffResult result;
-  auto diverged = [&](std::uint64_t cycle, const char* phase) {
+  auto fail = [&](const std::string& what) {
     result.ok = false;
-    result.first_divergent_cycle = cycle;
-    std::ostringstream os;
-    os << "digest divergence at cycle " << cycle << " (" << phase
-       << " phase)\n  scenario: " << describe
-       << detail::attribute_divergence(full, gated, label_a, label_b);
-    result.detail = os.str();
+    result.first_divergent_cycle = ref.kernel().cycle();
+    result.detail = what + "\n  scenario: " + describe +
+                    attribute_divergence(ref, twin, label_a, label_b);
     return result;
   };
+  auto digests_differ = [&] {
+    return ref.kernel().digest() != twin.kernel().digest();
+  };
 
-  for (std::size_t c = 0; c < cycles; ++c) {
-    full_driver.step();
-    gated_driver.step();
-    full.step();
-    gated.step();
-    if (full.kernel().digest() != gated.kernel().digest()) {
-      return diverged(full.kernel().cycle(), "driven");
+  for (std::size_t done = 0, pick = 0; done < cycles;) {
+    if (spans.empty()) {
+      ref_driver.step();
+      twin_driver.step();
+      ref.step();
+      twin.step();
+      ++done;
+    } else {
+      const std::size_t n =
+          std::min(spans[pick++ % spans.size()], cycles - done);
+      ref_driver.run(n);
+      twin_driver.run(n);
+      done += n;
+    }
+    if (digests_differ()) {
+      return fail("digest divergence at cycle " +
+                  std::to_string(ref.kernel().cycle()) + " (driven phase)");
     }
   }
-  for (std::size_t c = 0; c < drain_cycles; ++c) {
-    if (full.quiescent() && gated.quiescent()) break;
-    full.step();
-    gated.step();
-    if (full.kernel().digest() != gated.kernel().digest()) {
-      return diverged(full.kernel().cycle(), "drain");
+  for (std::size_t c = 0; c < drain_cycles; c += drain_span) {
+    if (ref.quiescent() && twin.quiescent()) break;
+    const std::size_t n = std::min(drain_span, drain_cycles - c);
+    ref.step(n);
+    twin.step(n);
+    if (digests_differ()) {
+      return fail("digest divergence at cycle " +
+                  std::to_string(ref.kernel().cycle()) + " (drain phase)");
     }
   }
-  if (full.quiescent() != gated.quiescent()) {
-    result.ok = false;
-    result.first_divergent_cycle = full.kernel().cycle();
-    result.detail = "drain divergence (" + std::string(label_a) + " " +
-                    std::string(full.quiescent() ? "quiescent" : "stuck") +
-                    ", " + std::string(label_b) + " " +
-                    std::string(gated.quiescent() ? "quiescent" : "stuck") +
-                    ")\n  scenario: " + describe +
-                    detail::attribute_divergence(full, gated, label_a,
-                                                 label_b);
-    return result;
+  if (ref.quiescent() != twin.quiescent()) {
+    return fail("drain divergence (" + std::string(label_a) + " " +
+                (ref.quiescent() ? "quiescent" : "stuck") + ", " +
+                std::string(label_b) + " " +
+                (twin.quiescent() ? "quiescent" : "stuck") + ")");
   }
 
   // Per-cycle digests agreed; the aggregate statistics must too.
-  const auto fs = traffic::collect_run(full, cycles);
-  const auto gs = traffic::collect_run(gated, cycles);
+  const auto rs = traffic::collect_run(ref, cycles);
+  const auto ts = traffic::collect_run(twin, cycles);
   std::ostringstream os;
   auto check = [&os, label_a, label_b](const char* what, auto a, auto b) {
     if (a != b) {
@@ -241,23 +242,45 @@ inline DiffResult run_lockstep(noc::Network& full, noc::Network& gated,
          << "=" << b;
     }
   };
-  check("transactions", fs.transactions, gs.transactions);
-  check("latency.mean", fs.latency.mean, gs.latency.mean);
-  check("latency.p95", fs.latency.p95, gs.latency.p95);
-  check("throughput", fs.throughput, gs.throughput);
-  check("link_flits", fs.link_flits, gs.link_flits);
-  check("retransmissions", fs.retransmissions, gs.retransmissions);
-  check("credit_stalls", fs.credit_stalls, gs.credit_stalls);
+  check("transactions", rs.transactions, ts.transactions);
+  check("latency.mean", rs.latency.mean, ts.latency.mean);
+  check("latency.p95", rs.latency.p95, ts.latency.p95);
+  check("throughput", rs.throughput, ts.throughput);
+  check("link_flits", rs.link_flits, ts.link_flits);
+  check("retransmissions", rs.retransmissions, ts.retransmissions);
+  check("credit_stalls", rs.credit_stalls, ts.credit_stalls);
+  check("avg_link_utilization", rs.avg_link_utilization,
+        ts.avg_link_utilization);
   if (!os.str().empty()) {
     result.ok = false;
-    result.first_divergent_cycle = full.kernel().cycle();
+    result.first_divergent_cycle = ref.kernel().cycle();
     result.detail = "stats divergence after identical digests (scenario: " +
                     describe + ")" + os.str();
   }
   return result;
 }
 
-/// Lockstep comparator for the partitioned kernel (PR 8): `ref` is the
+}  // namespace detail
+
+/// Per-cycle lockstep comparator over caller-built twins: `ref` and
+/// `twin` must be identically constructed except for the scheduler, and
+/// the drivers identically seeded. Drives both for `cycles`, then
+/// drains, comparing the kernels' signal digests after every cycle and
+/// the end-of-run statistics at the end. `describe` labels the failure
+/// report. Suites with their own topology generators
+/// (tests/fuzz_test.cpp) call this directly.
+inline DiffResult run_lockstep(noc::Network& ref, noc::Network& twin,
+                               traffic::TrafficDriver& ref_driver,
+                               traffic::TrafficDriver& twin_driver,
+                               std::size_t cycles, std::size_t drain_cycles,
+                               const std::string& describe,
+                               const char* label_a = "full",
+                               const char* label_b = "leap") {
+  return detail::lockstep(ref, twin, ref_driver, twin_driver, cycles,
+                          drain_cycles, {}, 1, describe, label_a, label_b);
+}
+
+/// Lockstep comparator for the partitioned kernel: `ref` is the
 /// unpartitioned reference, `part` a partitioned twin (any partition and
 /// thread count). Digests are only comparable at epoch boundaries — the
 /// partitioned kernel commits a whole conservative window per barrier —
@@ -272,213 +295,66 @@ inline DiffResult run_lockstep_partitioned(
     traffic::TrafficDriver& ref_driver, traffic::TrafficDriver& part_driver,
     std::size_t cycles, std::size_t drain_cycles,
     const std::string& describe) {
-  DiffResult result;
-  auto diverged = [&](std::uint64_t cycle, const char* phase) {
-    result.ok = false;
-    result.first_divergent_cycle = cycle;
-    std::ostringstream os;
-    os << "digest divergence at cycle " << cycle << " (" << phase
-       << " phase)\n  scenario: " << describe
-       << detail::attribute_divergence(ref, part, "ref", "part");
-    result.detail = os.str();
-    return result;
-  };
-
   const std::size_t k =
       std::max<std::size_t>(1, part.kernel().lookahead());
-  std::size_t done = 0;
-  while (done < cycles) {
-    const std::size_t n = std::min(k, cycles - done);
-    ref_driver.run(n);
-    part_driver.run(n);
-    done += n;
-    if (ref.kernel().digest() != part.kernel().digest()) {
-      return diverged(ref.kernel().cycle(), "driven");
-    }
-  }
-  for (std::size_t c = 0; c < drain_cycles; ++c) {
-    if (ref.quiescent() && part.quiescent()) break;
-    ref.step();
-    part.step();
-    if (ref.kernel().digest() != part.kernel().digest()) {
-      return diverged(ref.kernel().cycle(), "drain");
-    }
-  }
-  if (ref.quiescent() != part.quiescent()) {
-    result.ok = false;
-    result.first_divergent_cycle = ref.kernel().cycle();
-    result.detail =
-        "drain divergence (ref " +
-        std::string(ref.quiescent() ? "quiescent" : "stuck") + ", part " +
-        std::string(part.quiescent() ? "quiescent" : "stuck") +
-        ")\n  scenario: " + describe +
-        detail::attribute_divergence(ref, part, "ref", "part");
-    return result;
-  }
-
-  const auto rs = traffic::collect_run(ref, cycles);
-  const auto ps = traffic::collect_run(part, cycles);
-  std::ostringstream os;
-  auto check = [&os](const char* what, auto a, auto b) {
-    if (a != b) os << "\n  " << what << ": ref=" << a << " part=" << b;
-  };
-  check("transactions", rs.transactions, ps.transactions);
-  check("latency.mean", rs.latency.mean, ps.latency.mean);
-  check("latency.p95", rs.latency.p95, ps.latency.p95);
-  check("throughput", rs.throughput, ps.throughput);
-  check("link_flits", rs.link_flits, ps.link_flits);
-  check("retransmissions", rs.retransmissions, ps.retransmissions);
-  check("credit_stalls", rs.credit_stalls, ps.credit_stalls);
-  check("avg_link_utilization", rs.avg_link_utilization,
-        ps.avg_link_utilization);
-  if (!os.str().empty()) {
-    result.ok = false;
-    result.first_divergent_cycle = ref.kernel().cycle();
-    result.detail = "stats divergence after identical digests (scenario: " +
-                    describe + ")" + os.str();
-  }
-  return result;
+  return detail::lockstep(ref, part, ref_driver, part_driver, cycles,
+                          drain_cycles, {k}, 1, describe, "ref", "part");
 }
 
-/// Builds the full- and gated-scheduler twins of `scenario`, drives them
-/// in lockstep, and compares the kernels' signal digests after every
-/// cycle (driven phase and drain phase alike), then the end-of-run
-/// statistics. Returns the first divergence, if any.
-inline DiffResult run_differential(const DiffScenario& scenario) {
-  noc::Network full(scenario.build_topology(),
-                    scenario.net_config(sim::Scheduler::kFull));
-  noc::Network gated(scenario.build_topology(),
-                     scenario.net_config(sim::Scheduler::kGated));
-  traffic::TrafficDriver full_driver(full, scenario.traffic_config());
-  traffic::TrafficDriver gated_driver(gated, scenario.traffic_config());
-  return run_lockstep(full, gated, full_driver, gated_driver,
-                      scenario.cycles, scenario.drain_cycles,
-                      scenario.to_string());
-}
-
-/// Time-leap differential (PR 10): kGated reference vs kTimeLeap twin,
-/// proven at both leap granularities.
+/// Builds the full-scheduler reference and the time-leap twin of
+/// `scenario` and proves them equal at both leap granularities.
 ///
-/// Leg 1 drives both networks per cycle through run_lockstep. Because
-/// Network::step() is Kernel::run(1), the twin's kernel takes the leap
-/// decision every cycle and skips (freezes) each quiescent one — so the
-/// digest comparison runs *inside* leapt regions: a frozen cycle must
-/// be byte-identical to the reference's ticked one, which is exactly
-/// the "skipped ticks are observable no-ops" obligation.
+/// Leg 1 drives both networks per cycle. Because Network::step() is
+/// Kernel::run(1), the twin's kernel takes the leap decision every cycle
+/// and skips (freezes) each quiescent one — so the digest comparison
+/// runs *inside* leapt regions: a frozen cycle must be byte-identical to
+/// the reference's ticked one, which is exactly the "skipped ticks are
+/// observable no-ops" obligation.
 ///
-/// Leg 2 re-runs the scenario advancing the twin in mixed-width
-/// driver.run() spans. That path registers the driver's injector module
-/// (TrafficDriver does so only under an unpartitioned kTimeLeap
+/// Leg 2 re-runs the scenario advancing both sides in mixed-width
+/// driver.run() spans. That path registers the twin driver's injector
+/// module (TrafficDriver does so only under an unpartitioned kTimeLeap
 /// kernel), so multi-cycle calendar leaps, injector look-ahead, and
 /// wake-at-leap-target all engage; digests compare wherever the two
 /// clocks realign, and the drain advances both sides in fixed windows.
-inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
-  {
-    noc::Network gated(scenario.build_topology(),
-                       scenario.net_config(sim::Scheduler::kGated));
-    noc::Network leap(scenario.build_topology(),
-                      scenario.net_config(sim::Scheduler::kTimeLeap));
-    traffic::TrafficDriver gated_driver(gated, scenario.traffic_config());
-    traffic::TrafficDriver leap_driver(leap, scenario.traffic_config());
-    DiffResult per_cycle = run_lockstep(
-        gated, leap, gated_driver, leap_driver, scenario.cycles,
-        scenario.drain_cycles, scenario.to_string() + " [leap per-cycle]",
-        "gated", "leap");
-    if (!per_cycle.ok) return per_cycle;
-  }
-
-  noc::Network ref(scenario.build_topology(),
-                   scenario.net_config(sim::Scheduler::kGated));
-  noc::Network leap(scenario.build_topology(),
-                    scenario.net_config(sim::Scheduler::kTimeLeap));
-  traffic::TrafficDriver ref_driver(ref, scenario.traffic_config());
-  traffic::TrafficDriver leap_driver(leap, scenario.traffic_config());
-  const std::string describe = scenario.to_string() + " [leap chunked]";
-
-  DiffResult result;
-  auto diverged = [&](std::uint64_t cycle, const char* phase) {
-    result.ok = false;
-    result.first_divergent_cycle = cycle;
-    std::ostringstream os;
-    os << "digest divergence at cycle " << cycle << " (" << phase
-       << " phase)\n  scenario: " << describe
-       << detail::attribute_divergence(ref, leap, "gated", "leap");
-    result.detail = os.str();
-    return result;
-  };
-
+inline DiffResult run_differential(const DiffScenario& scenario) {
   // Mixed span widths: shorter than, comparable to, and much longer than
   // typical idle gaps, so leaps land both inside spans and truncated at
   // span boundaries (the wake-at-leap-target edge).
-  static constexpr std::size_t kSpans[] = {1, 7, 3, 64, 2, 13, 33, 5};
-  std::size_t done = 0;
-  std::size_t pick = 0;
-  while (done < scenario.cycles) {
-    const std::size_t n = std::min(kSpans[pick++ % 8],
-                                   scenario.cycles - done);
-    ref_driver.run(n);
-    leap_driver.run(n);
-    done += n;
-    if (ref.kernel().digest() != leap.kernel().digest()) {
-      return diverged(ref.kernel().cycle(), "driven");
-    }
-  }
-  for (std::size_t c = 0; c < scenario.drain_cycles; c += 16) {
-    if (ref.quiescent() && leap.quiescent()) break;
-    const std::size_t n =
-        std::min<std::size_t>(16, scenario.drain_cycles - c);
-    ref.step(n);
-    leap.step(n);
-    if (ref.kernel().digest() != leap.kernel().digest()) {
-      return diverged(ref.kernel().cycle(), "drain");
-    }
-  }
-  if (ref.quiescent() != leap.quiescent()) {
-    result.ok = false;
-    result.first_divergent_cycle = ref.kernel().cycle();
-    result.detail =
-        "drain divergence (gated " +
-        std::string(ref.quiescent() ? "quiescent" : "stuck") + ", leap " +
-        std::string(leap.quiescent() ? "quiescent" : "stuck") +
-        ")\n  scenario: " + describe +
-        detail::attribute_divergence(ref, leap, "gated", "leap");
-    return result;
-  }
-
-  const auto rs = traffic::collect_run(ref, scenario.cycles);
-  const auto ls = traffic::collect_run(leap, scenario.cycles);
-  std::ostringstream os;
-  auto check = [&os](const char* what, auto a, auto b) {
-    if (a != b) os << "\n  " << what << ": gated=" << a << " leap=" << b;
+  static const std::vector<std::size_t> kPerCycle;
+  static const std::vector<std::size_t> kSpans = {1, 7, 3, 64, 2, 13, 33, 5};
+  struct Leg {
+    const std::vector<std::size_t>& spans;
+    std::size_t drain_span;
+    const char* name;
   };
-  check("transactions", rs.transactions, ls.transactions);
-  check("latency.mean", rs.latency.mean, ls.latency.mean);
-  check("latency.p95", rs.latency.p95, ls.latency.p95);
-  check("throughput", rs.throughput, ls.throughput);
-  check("link_flits", rs.link_flits, ls.link_flits);
-  check("retransmissions", rs.retransmissions, ls.retransmissions);
-  check("credit_stalls", rs.credit_stalls, ls.credit_stalls);
-  check("avg_link_utilization", rs.avg_link_utilization,
-        ls.avg_link_utilization);
-  if (!os.str().empty()) {
-    result.ok = false;
-    result.first_divergent_cycle = ref.kernel().cycle();
-    result.detail = "stats divergence after identical digests (scenario: " +
-                    describe + ")" + os.str();
+  for (const Leg& leg : {Leg{kPerCycle, 1, " [leap per-cycle]"},
+                         Leg{kSpans, 16, " [leap chunked]"}}) {
+    noc::Network ref(scenario.build_topology(),
+                     scenario.net_config(sim::Scheduler::kFull));
+    noc::Network leap(scenario.build_topology(),
+                      scenario.net_config(sim::Scheduler::kTimeLeap));
+    traffic::TrafficDriver ref_driver(ref, scenario.traffic_config());
+    traffic::TrafficDriver leap_driver(leap, scenario.traffic_config());
+    DiffResult result = detail::lockstep(
+        ref, leap, ref_driver, leap_driver, scenario.cycles,
+        scenario.drain_cycles, leg.spans, leg.drain_span,
+        scenario.to_string() + leg.name, "full", "leap");
+    if (!result.ok) return result;
   }
-  return result;
+  return {};
 }
 
-/// Partitioned time-leap twin vs the unpartitioned gated reference:
+/// Partitioned time-leap twin vs the unpartitioned full reference:
 /// partition-local leaps are capped at the epoch barrier and the
 /// wholesale fast-forward only fires when every partition sleeps, so
-/// the PR 8 barrier protocol (digests compared per epoch, per-cycle
-/// drain) applies unchanged.
-inline DiffResult run_differential_timeleap_partitioned(
-    const DiffScenario& scenario, std::size_t partitions,
-    std::size_t sim_threads) {
+/// the barrier protocol (digests compared per epoch, per-cycle drain)
+/// applies unchanged.
+inline DiffResult run_differential_partitioned(const DiffScenario& scenario,
+                                               std::size_t partitions,
+                                               std::size_t sim_threads) {
   noc::Network ref(scenario.build_topology(),
-                   scenario.net_config(sim::Scheduler::kGated));
+                   scenario.net_config(sim::Scheduler::kFull));
   noc::Network part(scenario.build_topology(),
                     scenario.net_config(sim::Scheduler::kTimeLeap,
                                         partitions, sim_threads));
@@ -494,13 +370,13 @@ inline DiffResult run_differential_timeleap_partitioned(
 
 /// Greedy scenario shrinking: tries a fixed set of simplifying mutations
 /// (shorter run, calmer traffic, fewer lanes, smaller topology) and
-/// keeps each one that still reproduces a divergence. Returns the
-/// minimal still-failing scenario (the input if nothing smaller fails).
-/// `still_fails` decides reproduction, so the same shrinker serves the
-/// full/gated and gated/time-leap pairings.
-template <typename StillFails>
-inline DiffScenario shrink_divergence_with(DiffScenario scenario,
-                                           StillFails still_fails) {
+/// keeps each one that still reproduces a divergence under
+/// run_differential. Returns the minimal still-failing scenario (the
+/// input if nothing smaller fails).
+inline DiffScenario shrink_divergence(DiffScenario scenario) {
+  auto still_fails = [](const DiffScenario& s) {
+    return !run_differential(s).ok;
+  };
   // Cut the driven window toward the first divergent cycle first — every
   // later mutation then re-verifies against the cheap short run.
   for (int pass = 0; pass < 3; ++pass) {
@@ -553,14 +429,6 @@ inline DiffScenario shrink_divergence_with(DiffScenario scenario,
   return scenario;
 }
 
-/// Full/gated shrinker (the PR 7 behavior).
-inline DiffScenario shrink_divergence(DiffScenario scenario) {
-  return shrink_divergence_with(std::move(scenario),
-                                [](const DiffScenario& s) {
-                                  return !run_differential(s).ok;
-                                });
-}
-
 /// run_differential + automatic shrinking on failure: the returned
 /// result's detail describes the *minimal* reproduction.
 inline DiffResult run_differential_shrunk(const DiffScenario& scenario) {
@@ -568,22 +436,6 @@ inline DiffResult run_differential_shrunk(const DiffScenario& scenario) {
   if (result.ok) return result;
   const DiffScenario minimal = shrink_divergence(scenario);
   DiffResult shrunk = run_differential(minimal);
-  if (!shrunk.ok) {
-    shrunk.detail += "\n  (shrunk from: " + scenario.to_string() + ")";
-    return shrunk;
-  }
-  return result;  // shrinking raced a flaky repro; report the original
-}
-
-/// run_differential_timeleap + automatic shrinking on failure.
-inline DiffResult run_differential_timeleap_shrunk(
-    const DiffScenario& scenario) {
-  DiffResult result = run_differential_timeleap(scenario);
-  if (result.ok) return result;
-  const DiffScenario minimal = shrink_divergence_with(
-      scenario,
-      [](const DiffScenario& s) { return !run_differential_timeleap(s).ok; });
-  DiffResult shrunk = run_differential_timeleap(minimal);
   if (!shrunk.ok) {
     shrunk.detail += "\n  (shrunk from: " + scenario.to_string() + ")";
     return shrunk;

@@ -51,12 +51,33 @@ TEST(SweepSpec, ParsesEveryDirective) {
 }
 
 TEST(SweepSpec, CanonicalRoundTrip) {
-  const SweepSpec spec = parse_sweep(kSpecText);
-  const std::string canonical = write_sweep(spec);
-  const SweepSpec reparsed = parse_sweep(canonical);
-  EXPECT_EQ(write_sweep(reparsed), canonical);
-  EXPECT_EQ(reparsed.grid_size(), spec.grid_size());
-  EXPECT_EQ(reparsed.injection_rates, spec.injection_rates);
+  // One input per scheduler spelling. `gated`, the legacy spelling of
+  // time_leap, is the default, so the canonical text of a spec without
+  // the directive says `scheduler gated` — byte-for-byte what existing
+  // checkpoint sidecars embed.
+  const std::string base = kSpecText;
+  const struct {
+    const char* directive;
+    const char* canonical_line;
+    sim::Scheduler resolved;
+  } cases[] = {
+      {"", "scheduler gated\n", sim::Scheduler::kTimeLeap},
+      {"scheduler gated\n", "scheduler gated\n", sim::Scheduler::kTimeLeap},
+      {"scheduler time_leap\n", "scheduler time_leap\n",
+       sim::Scheduler::kTimeLeap},
+      {"scheduler full\n", "scheduler full\n", sim::Scheduler::kFull}};
+  for (const auto& c : cases) {
+    const SweepSpec spec = parse_sweep(base + c.directive);
+    const std::string canonical = write_sweep(spec);
+    const SweepSpec reparsed = parse_sweep(canonical);
+    EXPECT_EQ(write_sweep(reparsed), canonical);
+    EXPECT_NE(canonical.find(c.canonical_line), std::string::npos);
+    EXPECT_EQ(reparsed.grid_size(), spec.grid_size());
+    EXPECT_EQ(reparsed.injection_rates, spec.injection_rates);
+    for (std::size_t i = 0; i < spec.num_points(); ++i) {
+      EXPECT_EQ(spec.point(i).net.scheduler, c.resolved) << c.directive;
+    }
+  }
 }
 
 TEST(SweepSpec, RejectsMalformedInput) {
@@ -89,6 +110,7 @@ TEST(SweepSpec, MalformedLinesReportTheirLineNumber) {
   expect_line_error(ok + "topology klein_bottle\n", 3); // unknown value
   expect_line_error(ok + "flow sideband\n", 3);         // unknown protocol
   expect_line_error(ok + "routing zigzag\n", 3);        // unknown routing
+  expect_line_error(ok + "scheduler activity\n", 3);    // unknown scheduler
   expect_line_error(ok + "vcs 99\n", 3);                // out of range
   expect_line_error(ok + "vcs 0\n", 3);                 // out of range
   expect_line_error(ok + "burstiness 1.5\n", 3);        // out of range

@@ -1,7 +1,7 @@
 // Time-leap scheduler corner tests (PR 10).
 //
 // The calendar-driven kTimeLeap kernel must be bit-exact against the
-// gated scheduler while actually skipping quiescent cycle gaps. The
+// full scheduler while actually skipping quiescent cycle gaps. The
 // randomized sweep lives in tests/kernel_equiv_test.cpp; this file pins
 // the corners a random draw undersamples:
 //   - a leap truncated at a partitioned epoch barrier,
@@ -30,8 +30,8 @@ namespace {
 
 using testsupport::DiffResult;
 using testsupport::DiffScenario;
-using testsupport::run_differential_timeleap;
-using testsupport::run_differential_timeleap_partitioned;
+using testsupport::run_differential;
+using testsupport::run_differential_partitioned;
 
 /// A near-silent scenario: idle gaps dwarf both the calendar window and
 /// any partition lookahead, so every leap mechanism engages.
@@ -60,7 +60,7 @@ TEST(TimeLeap, ActuallyLeapsAtLowLoad) {
 }
 
 TEST(TimeLeap, QuietScenarioIsBitExact) {
-  const DiffResult result = run_differential_timeleap(quiet_scenario());
+  const DiffResult result = run_differential(quiet_scenario());
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
@@ -78,7 +78,7 @@ TEST(TimeLeap, LeapIsTruncatedAtEpochBarriers) {
   s.height = 4;
   for (const std::size_t partitions : {2u, 4u}) {
     const DiffResult result =
-        run_differential_timeleap_partitioned(s, partitions, partitions);
+        run_differential_partitioned(s, partitions, partitions);
     EXPECT_TRUE(result.ok) << result.detail;
   }
 
@@ -102,44 +102,44 @@ TEST(TimeLeap, LeapIsTruncatedAtEpochBarriers) {
 // afterwards) shifts.
 TEST(TimeLeap, WakeLandsExactlyOnLeapTarget) {
   DiffScenario s;  // 2x2 mesh, no traffic driver
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                    s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
 
   constexpr std::uint64_t kRelease = 200;
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
-  txn.addr = gated.target_base(1) + 0x40;
-  gated.master(0).push_transaction_at(txn, kRelease);
+  txn.addr = full.target_base(1) + 0x40;
+  full.master(0).push_transaction_at(txn, kRelease);
   leap.master(0).push_transaction_at(txn, kRelease);
 
   // One span across the whole gap: the leap kernel should jump from
   // (nearly) cycle 0 to the release cycle in one hop.
-  gated.step(400);
+  full.step(400);
   leap.step(400);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest())
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest())
       << "digest mismatch after leaping to a scheduled release";
-  EXPECT_EQ(gated.kernel().cycle(), leap.kernel().cycle());
+  EXPECT_EQ(full.kernel().cycle(), leap.kernel().cycle());
   EXPECT_GT(leap.kernel().leapt_cycles(), kRelease / 2)
       << "kernel walked the pre-release gap instead of leaping it";
 
   for (std::size_t c = 0; c < 4000; ++c) {
-    if (gated.quiescent() && leap.quiescent()) break;
-    gated.step();
+    if (full.quiescent() && leap.quiescent()) break;
+    full.step();
     leap.step();
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "drain digest mismatch at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "drain digest mismatch at cycle " << full.kernel().cycle();
   }
-  ASSERT_TRUE(gated.quiescent());
+  ASSERT_TRUE(full.quiescent());
   ASSERT_TRUE(leap.quiescent());
-  ASSERT_EQ(gated.master(0).completed().size(), 1u);
+  ASSERT_EQ(full.master(0).completed().size(), 1u);
   ASSERT_EQ(leap.master(0).completed().size(), 1u);
-  EXPECT_EQ(gated.master(0).completed()[0].issue_cycle,
+  EXPECT_EQ(full.master(0).completed()[0].issue_cycle,
             leap.master(0).completed()[0].issue_cycle);
-  EXPECT_EQ(gated.master(0).completed()[0].complete_cycle,
+  EXPECT_EQ(full.master(0).completed()[0].complete_cycle,
             leap.master(0).completed()[0].complete_cycle);
-  EXPECT_GE(gated.master(0).completed()[0].issue_cycle, kRelease);
+  EXPECT_GE(full.master(0).completed()[0].issue_cycle, kRelease);
 }
 
 // --- Corner: external push at a cycle reached by leaping -------------
@@ -152,23 +152,23 @@ TEST(TimeLeap, WakeLandsExactlyOnLeapTarget) {
 // cycle, and the stale calendar entry must stay harmless.
 TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   DiffScenario s;  // 2x2 mesh, no traffic driver
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                    s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
 
   constexpr std::uint64_t kFarRelease = 300;
   ocp::Transaction far;
   far.cmd = ocp::Cmd::kRead;
-  far.addr = gated.target_base(2) + 0x10;
-  gated.master(0).push_transaction_at(far, kFarRelease);
+  far.addr = full.target_base(2) + 0x10;
+  full.master(0).push_transaction_at(far, kFarRelease);
   leap.master(0).push_transaction_at(far, kFarRelease);
 
   // Advance into the gap: the leap twin jumps these 100 cycles.
-  gated.step(100);
+  full.step(100);
   leap.step(100);
-  ASSERT_EQ(gated.kernel().cycle(), leap.kernel().cycle());
-  ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest());
+  ASSERT_EQ(full.kernel().cycle(), leap.kernel().cycle());
+  ASSERT_EQ(full.kernel().digest(), leap.kernel().digest());
   ASSERT_GT(leap.kernel().leapt_cycles(), 50u)
       << "the pre-push gap was walked, not leapt; corner not exercised";
 
@@ -177,10 +177,10 @@ TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   // is now stale-but-pending).
   ocp::Transaction now_txn;
   now_txn.cmd = ocp::Cmd::kWrite;
-  now_txn.addr = gated.target_base(1);
+  now_txn.addr = full.target_base(1);
   now_txn.data = {0xABCDu};
   now_txn.burst_len = 1;
-  for (noc::Network* net : {&gated, &leap}) {
+  for (noc::Network* net : {&full, &leap}) {
     net->master(1).push_transaction(now_txn);
     net->master(0).push_transaction(now_txn);
   }
@@ -189,17 +189,17 @@ TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   // digests must match every cycle, including the re-leapt stretch
   // between the pushed writes completing and kFarRelease.
   for (std::size_t c = 0; c < 4000; ++c) {
-    if (gated.quiescent() && leap.quiescent()) break;
-    gated.step();
+    if (full.quiescent() && leap.quiescent()) break;
+    full.step();
     leap.step();
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at cycle " << full.kernel().cycle();
   }
-  ASSERT_TRUE(gated.quiescent());
+  ASSERT_TRUE(full.quiescent());
   ASSERT_TRUE(leap.quiescent());
-  ASSERT_EQ(gated.master(0).completed().size(), 2u);
+  ASSERT_EQ(full.master(0).completed().size(), 2u);
   ASSERT_EQ(leap.master(1).completed().size(), 1u);
-  EXPECT_EQ(gated.master(1).completed()[0].issue_cycle,
+  EXPECT_EQ(full.master(1).completed()[0].issue_cycle,
             leap.master(1).completed()[0].issue_cycle);
 }
 
@@ -225,26 +225,26 @@ TEST(TimeLeap, CreditStallCountersCatchUpExactly) {
   s.cycles = 3000;
   s.traffic_seed = 77;
 
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                    s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
-  traffic::TrafficDriver gated_driver(gated, s.traffic_config());
+  traffic::TrafficDriver full_driver(full, s.traffic_config());
   traffic::TrafficDriver leap_driver(leap, s.traffic_config());
 
   for (std::size_t done = 0; done < s.cycles; done += 60) {
-    gated_driver.run(60);
+    full_driver.run(60);
     leap_driver.run(60);
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at span ending cycle " << gated.kernel().cycle();
-    ASSERT_EQ(gated.total_credit_stalls(), leap.total_credit_stalls())
-        << "credit-stall totals diverged at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at span ending cycle " << full.kernel().cycle();
+    ASSERT_EQ(full.total_credit_stalls(), leap.total_credit_stalls())
+        << "credit-stall totals diverged at cycle " << full.kernel().cycle();
   }
-  gated.run_until_quiescent(20000);
+  full.run_until_quiescent(20000);
   leap.run_until_quiescent(20000);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest());
-  EXPECT_EQ(gated.total_credit_stalls(), leap.total_credit_stalls());
-  EXPECT_GT(gated.total_credit_stalls(), 0u)
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest());
+  EXPECT_EQ(full.total_credit_stalls(), leap.total_credit_stalls());
+  EXPECT_GT(full.total_credit_stalls(), 0u)
       << "scenario produced no credit stalls; catch-up not exercised";
   EXPECT_GT(leap.kernel().leapt_cycles(), 0u);
 }
@@ -264,27 +264,27 @@ TEST(TimeLeap, GoBackNRetransmissionCountersMatch) {
   s.net_seed = 11;
   s.traffic_seed = 13;
 
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                    s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
-  traffic::TrafficDriver gated_driver(gated, s.traffic_config());
+  traffic::TrafficDriver full_driver(full, s.traffic_config());
   traffic::TrafficDriver leap_driver(leap, s.traffic_config());
 
   for (std::size_t done = 0; done < s.cycles; done += 45) {
-    gated_driver.run(45);
+    full_driver.run(45);
     leap_driver.run(45);
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at span ending cycle " << gated.kernel().cycle();
-    ASSERT_EQ(gated.total_retransmissions(), leap.total_retransmissions())
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at span ending cycle " << full.kernel().cycle();
+    ASSERT_EQ(full.total_retransmissions(), leap.total_retransmissions())
         << "retransmission totals diverged at cycle "
-        << gated.kernel().cycle();
+        << full.kernel().cycle();
   }
-  gated.run_until_quiescent(20000);
+  full.run_until_quiescent(20000);
   leap.run_until_quiescent(20000);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest());
-  EXPECT_EQ(gated.total_retransmissions(), leap.total_retransmissions());
-  EXPECT_GT(gated.total_retransmissions(), 0u)
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest());
+  EXPECT_EQ(full.total_retransmissions(), leap.total_retransmissions());
+  EXPECT_GT(full.total_retransmissions(), 0u)
       << "scenario produced no retransmissions; corner not exercised";
 }
 

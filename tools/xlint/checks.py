@@ -493,8 +493,9 @@ class Analyzer:
                         sf,
                         mc.decl_site[1],
                         "XL201",
-                        f"module '{mc.name}' never overrides is_idle(): the gated "
-                        "scheduler would never skip it, and DESIGN.md §9 requires an "
+                        f"module '{mc.name}' never overrides is_idle(): the "
+                        "event-driven scheduler would never skip it, and DESIGN.md §9 "
+                        "requires an "
                         "explicit quiescence claim for every concrete module — "
                         "override it (return false is an acceptable claim) or "
                         "annotate idle-ok(<reason>)",
