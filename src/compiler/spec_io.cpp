@@ -1,39 +1,21 @@
 #include "src/compiler/spec_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/line_format.hpp"
 
 namespace xpl::compiler {
 
 namespace {
 
+constexpr std::string_view kFormat = "spec";
+
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("spec line " + std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
+  throw_line_error(kFormat, line, what);
 }
 
 }  // namespace
@@ -53,7 +35,7 @@ NocSpec parse_spec(const std::string& text) {
 
   while (std::getline(is, line)) {
     ++lineno;
-    const auto tokens = tokenize(line);
+    const auto tokens = tokenize_line(line);
     if (tokens.empty()) continue;
     const std::string& key = tokens[0];
 
@@ -69,19 +51,19 @@ NocSpec parse_spec(const std::string& text) {
       spec.name = tokens[1];
     } else if (key == "flit_width") {
       need(2);
-      spec.net.flit_width = parse_u64(tokens[1], lineno);
+      spec.net.flit_width = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "beat_width") {
       need(2);
-      spec.net.beat_width = parse_u64(tokens[1], lineno);
+      spec.net.beat_width = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "max_burst") {
       need(2);
-      spec.net.max_burst = parse_u64(tokens[1], lineno);
+      spec.net.max_burst = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "threads") {
       need(2);
-      spec.net.num_threads = parse_u64(tokens[1], lineno);
+      spec.net.num_threads = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "target_window") {
       need(2);
-      spec.net.target_window = parse_u64(tokens[1], lineno);
+      spec.net.target_window = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "routing") {
       need(2);
       if (tokens[1] == "xy") {
@@ -124,35 +106,35 @@ NocSpec parse_spec(const std::string& text) {
       }
     } else if (key == "vcs") {
       need(2);
-      spec.net.vcs = parse_u64(tokens[1], lineno);
+      spec.net.vcs = parse_u64(tokens[1], kFormat, lineno);
       if (spec.net.vcs < 1 || spec.net.vcs > link::kMaxVcs) {
         fail(lineno, "vcs must be in [1, " +
                          std::to_string(link::kMaxVcs) + "]");
       }
     } else if (key == "input_fifo") {
       need(2);
-      spec.net.input_fifo_depth = parse_u64(tokens[1], lineno);
+      spec.net.input_fifo_depth = parse_u64(tokens[1], kFormat, lineno);
       if (spec.net.input_fifo_depth < 1) {
         fail(lineno, "input_fifo depth must be >= 1");
       }
     } else if (key == "output_fifo") {
       need(2);
-      spec.net.output_fifo_depth = parse_u64(tokens[1], lineno);
+      spec.net.output_fifo_depth = parse_u64(tokens[1], kFormat, lineno);
       if (spec.net.output_fifo_depth < 1) {
         fail(lineno, "output_fifo depth must be >= 1");
       }
     } else if (key == "extra_pipeline") {
       need(2);
-      spec.net.extra_switch_pipeline = parse_u64(tokens[1], lineno);
+      spec.net.extra_switch_pipeline = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "partitions") {
       // Partitioned-simulation knobs (DESIGN.md §10). `threads` was
       // already taken by OCP num_threads, hence `sim_threads`.
       need(2);
-      spec.net.partitions = parse_u64(tokens[1], lineno);
+      spec.net.partitions = parse_u64(tokens[1], kFormat, lineno);
       if (spec.net.partitions < 1) fail(lineno, "partitions must be >= 1");
     } else if (key == "sim_threads") {
       need(2);
-      spec.net.sim_threads = parse_u64(tokens[1], lineno);
+      spec.net.sim_threads = parse_u64(tokens[1], kFormat, lineno);
       if (spec.net.sim_threads < 1) fail(lineno, "sim_threads must be >= 1");
     } else if (key == "scheduler") {
       // Kernel scheduling policy (bit-identical results; DESIGN.md §9):
@@ -169,7 +151,7 @@ NocSpec parse_spec(const std::string& text) {
       }
     } else if (key == "lookahead") {
       need(2);
-      spec.net.lookahead = parse_u64(tokens[1], lineno);
+      spec.net.lookahead = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "switch") {
       if (tokens.size() != 2 && tokens.size() != 5) {
         fail(lineno, "'switch' expects: switch <name> [coord <x> <y>]");
@@ -181,10 +163,15 @@ NocSpec parse_spec(const std::string& text) {
       switch_ids[tokens[1]] = id;
       if (tokens.size() == 5) {
         if (tokens[2] != "coord") fail(lineno, "expected 'coord'");
-        spec.topo.switch_node(id).x =
-            static_cast<int>(parse_u64(tokens[3], lineno));
-        spec.topo.switch_node(id).y =
-            static_cast<int>(parse_u64(tokens[4], lineno));
+        auto coord = [&](const std::string& token) {
+          const std::uint64_t v = parse_u64(token, kFormat, lineno);
+          if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+            fail(lineno, "coordinate out of range '" + token + "'");
+          }
+          return static_cast<int>(v);
+        };
+        spec.topo.switch_node(id).x = coord(tokens[3]);
+        spec.topo.switch_node(id).y = coord(tokens[4]);
       }
     } else if (key == "link") {
       if (tokens.size() < 3) {
@@ -198,11 +185,11 @@ NocSpec parse_spec(const std::string& text) {
       for (std::size_t t = 3; t < tokens.size();) {
         if (tokens[t] == "stages") {
           if (t + 1 >= tokens.size()) fail(lineno, "'stages' expects a value");
-          stages = parse_u64(tokens[t + 1], lineno);
+          stages = parse_u64(tokens[t + 1], kFormat, lineno);
           t += 2;
         } else if (tokens[t] == "class") {
           if (t + 1 >= tokens.size()) fail(lineno, "'class' expects a value");
-          const std::uint64_t k = parse_u64(tokens[t + 1], lineno);
+          const std::uint64_t k = parse_u64(tokens[t + 1], kFormat, lineno);
           if (k > 255) fail(lineno, "link class must be in [0, 255]");
           vc_class = static_cast<std::uint8_t>(k);
           t += 2;

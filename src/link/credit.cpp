@@ -80,16 +80,6 @@ void CreditSender::end_cycle() {
 bool CreditSender::gate_idle() const {
   if (fwd_dirty_ || wires_.rev->read().valid) return false;
   for (const Lane& lane : lanes_) {
-    // Staged flits need transmitting; a starved lane needs its per-cycle
-    // credit_stall count (see the header note).
-    if (!lane.buffer.empty() || lane.credits == 0) return false;
-  }
-  return true;
-}
-
-bool CreditSender::gate_idle_leap() const {
-  if (fwd_dirty_ || wires_.rev->read().valid) return false;
-  for (const Lane& lane : lanes_) {
     if (!lane.buffer.empty()) return false;
   }
   return true;

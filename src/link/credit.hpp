@@ -73,21 +73,13 @@ class CreditSender {
   /// Wakes `owner` whenever a credit returns on the reverse wire.
   void watch(sim::Module& owner) { wires_.rev->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: nothing staged on
-  /// any lane, the forward wire already driven idle, no credit arriving,
-  /// and no lane sitting at zero credits. The zero-credit clause is a
-  /// counter contract, not a progress requirement: end_cycle counts one
-  /// credit_stall per starved cycle, so a starved sender must keep
-  /// ticking (or catch up in closed form) for the event-driven and full
-  /// schedulers to report equal stats.
+  /// Endpoint part of the owner's sleep claim: nothing staged on any
+  /// lane, the forward wire already driven idle, and no credit arriving.
+  /// A lane at zero credits may sleep too: a frozen tick does no *work*,
+  /// and the per-cycle credit_stall count it would have accumulated is
+  /// restored in closed form by catch_up_stalls() (the owner tracks the
+  /// gap; DESIGN.md §9).
   bool gate_idle() const;
-
-  /// gate_idle without the zero-credit counter clause — the quiescence
-  /// bound the time-leap scheduler uses. A sender idle by this predicate
-  /// does no *work* on a frozen tick; the per-cycle credit_stall count it
-  /// would have accumulated is restored in closed form by
-  /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §9).
-  bool gate_idle_leap() const;
 
   /// True when a frozen (skipped) tick of the owner would have counted
   /// one credit_stall: nothing staged on any lane, some lane starved.

@@ -94,26 +94,14 @@ void CutLink::tick_receiver(sim::Kernel& kernel) {
   }
 }
 
-bool CutLink::sender_idle() const {
-  // Mirrors PipelinedLink::is_idle restricted to the sender's half of
-  // the state: pending records anywhere on this side, an undrained
-  // upstream input, or an un-reset reverse output all block quiescence
-  // (so drain-cycle counts match the uncut link's).
-  return fwd_outbox_.empty() && rev_inbox_.empty() && !rev_out_dirty_ &&
-         !up_.fwd->read().valid;
-}
-
-bool CutLink::receiver_idle() const {
-  return fwd_inbox_.empty() && rev_outbox_.empty() && !fwd_out_dirty_ &&
-         !down_.rev->read().valid;
-}
-
-// Time-leap next events for the halves. Only the *inbox* front due is a
+// Sleep claims for the halves. Only the *inbox* front due is a
 // self-driven event: capture gates on written() (the watcher wakes the
 // half on every upstream write), outboxes drain at the exchange barrier
 // regardless of wakefulness, and a dirty output wire's trailing idle
 // write is itself carried by an inbox record — so a half with an empty
-// inbox has nothing to do until a signal or exchange wake arrives.
+// inbox has nothing to do until a signal or exchange wake arrives
+// (kNever). A valid beat on the watched input wire keeps the half awake
+// for the next cycle, as it does an uncut PipelinedLink.
 std::uint64_t CutLink::sender_next_event(std::uint64_t now) const {
   if (up_.fwd->read().valid) return now + 1;
   return rev_inbox_.empty() ? sim::kNever : rev_inbox_.front().due;

@@ -86,18 +86,10 @@ class LinkSender {
     flow_ == FlowControl::kAckNack ? ack_.watch(owner)
                                    : credit_.watch(owner);
   }
-  /// Endpoint part of the owner's quiescence predicate (event-driven
-  /// scheduler).
+  /// Endpoint part of the owner's sleep claim (event-driven scheduler).
   bool gate_idle() const {
     return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
                                           : credit_.gate_idle();
-  }
-  /// Quiescence bound for the time-leap scheduler: gate_idle without the
-  /// credit-mode zero-credit counter clause (go-back-N has no per-cycle
-  /// counters, so there it equals gate_idle). See CreditSender.
-  bool gate_idle_leap() const {
-    return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
-                                          : credit_.gate_idle_leap();
   }
   /// A skipped tick would have counted one credit_stall (credit mode
   /// only; structurally false for go-back-N).

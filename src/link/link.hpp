@@ -45,14 +45,12 @@ class PipelinedLink : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescent when both directions hold no in-flight beats, both output
-  /// wires are already driven idle, and nothing is arriving on either
-  /// input wire (the link watches both, so arrivals wake it).
-  bool is_idle() const override;
-
-  /// Earliest in-flight due cycle (time-leap scheduler). A link busy only
-  /// because beats are mid-pipe sleeps until the first one emerges; dirty
-  /// output wires and valid input wires pin it to the next cycle.
+  /// Sleep claim (event-driven scheduler): the earliest in-flight due
+  /// cycle. A link busy only because beats are mid-pipe sleeps until the
+  /// first one emerges; dirty output wires and valid input wires pin it
+  /// to the next cycle. With both pipes empty, both output wires driven
+  /// idle and nothing arriving it returns kNever (the link watches both
+  /// input wires, so arrivals wake it).
   std::uint64_t next_event(std::uint64_t now) const override;
 
   /// Flits that traversed the link (including retransmissions).

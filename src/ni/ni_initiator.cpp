@@ -270,24 +270,17 @@ bool InitiatorNi::idle() const {
          ocp_req_.empty();
 }
 
-bool InitiatorNi::is_idle() const {
-  // Deliberately weaker than idle(): outstanding_/reorder_/building_ and
-  // mid-packet depacketizers are sleepable (input-driven) state.
-  return ocp_req_.empty() && flit_out_.empty() && resp_out_.empty() &&
-         ocp_req_.gate_idle() && ocp_resp_.gate_idle() && tx_.gate_idle() &&
-         rx_.gate_idle();
-}
-
 std::uint64_t InitiatorNi::next_event(std::uint64_t now) const {
-  // is_idle() with the sender's zero-credit clause relaxed: if that
-  // clause is the only thing keeping this NI awake, the skipped per-cycle
-  // stall counts are restored by the catch-up above and the credit return
-  // wakes it through the watched reverse wire.
-  const bool leap_idle = ocp_req_.empty() && flit_out_.empty() &&
-                         resp_out_.empty() && ocp_req_.gate_idle() &&
-                         ocp_resp_.gate_idle() && tx_.gate_idle_leap() &&
-                         rx_.gate_idle();
-  return leap_idle ? sim::kNever : now + 1;
+  // Deliberately weaker than idle(): outstanding_/reorder_/building_ and
+  // mid-packet depacketizers are sleepable (input-driven) state. So is a
+  // starved network sender: its skipped per-cycle stall counts are
+  // restored by the catch-up above, and the credit return wakes this NI
+  // through the watched reverse wire.
+  const bool asleep = ocp_req_.empty() && flit_out_.empty() &&
+                      resp_out_.empty() && ocp_req_.gate_idle() &&
+                      ocp_resp_.gate_idle() && tx_.gate_idle() &&
+                      rx_.gate_idle();
+  return asleep ? sim::kNever : now + 1;
 }
 
 std::uint64_t InitiatorNi::credit_stalls() const {

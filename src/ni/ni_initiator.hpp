@@ -62,16 +62,13 @@ class InitiatorNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (event-driven scheduler): nothing buffered toward the
-  /// network or the core and every endpoint inert. Outstanding
-  /// transactions, the reorder buffer, a half-built packet and mid-packet
-  /// reassembly are input-driven state: a tick moves them only when a
-  /// beat arrives, and arrivals wake this module. See DESIGN.md §9.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when busy only by the network sender's
-  /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §9), next cycle otherwise.
+  /// Sleep claim (event-driven scheduler): kNever when nothing is
+  /// buffered toward the network or the core and every endpoint is inert,
+  /// next cycle otherwise. Outstanding transactions, the reorder buffer,
+  /// a half-built packet and mid-packet reassembly are input-driven
+  /// state: a tick moves them only when a beat arrives, and arrivals wake
+  /// this module. A starved network sender sleeps too; its stalls are
+  /// caught up in closed form on wake. See DESIGN.md §9.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const InitiatorConfig& config() const { return config_; }

@@ -58,15 +58,12 @@ class TargetNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (event-driven scheduler): no job queued or issuing,
-  /// nothing buffered toward the network, and every endpoint inert.
-  /// Pending/collecting response bookkeeping and mid-packet reassembly
-  /// are input-driven (sleepable) state. See DESIGN.md §9.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when busy only by the network sender's
-  /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §9), next cycle otherwise.
+  /// Sleep claim (event-driven scheduler): kNever when no job is queued
+  /// or issuing, nothing is buffered toward the network, and every
+  /// endpoint is inert; next cycle otherwise. Pending/collecting response
+  /// bookkeeping and mid-packet reassembly are input-driven (sleepable)
+  /// state. A starved network sender sleeps too; its stalls are caught
+  /// up in closed form on wake. See DESIGN.md §9.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const TargetConfig& config() const { return config_; }

@@ -103,10 +103,10 @@ std::size_t Kernel::event_cycle(const std::vector<Module*>& mods,
     for (const DirtyEntry& e : p.dirty) e.commit(e.signal);
     p.dirty.clear();
   }
-  // Settle the active set, after commit so is_idle() reads committed
-  // values: a woken module joins the set; a ticked module leaves it when
-  // its quiescence predicate holds (signal-wake only), or parks on its
-  // calendar when its next self-driven change lies beyond the next cycle.
+  // Settle the active set, after commit so next_event() reads committed
+  // values: a woken module joins the set; a ticked module stays in it
+  // while its next self-driven change is due next cycle, and otherwise
+  // leaves it — signal-wake only (kNever) or parked on its calendar.
   std::size_t awake = 0;
   for (Module* m : mods) {
 #ifndef NDEBUG
@@ -117,16 +117,12 @@ std::size_t Kernel::event_cycle(const std::vector<Module*>& mods,
       m->woken_ = false;
       ++awake;
     } else if (m->awake_) {
-      if (m->is_idle()) {
-        m->awake_ = false;
+      const std::uint64_t e = m->next_event(now);
+      if (e <= now + 1) {
+        ++awake;
       } else {
-        const std::uint64_t e = m->next_event(now);
-        if (e <= now + 1) {
-          ++awake;
-        } else {
-          m->awake_ = false;
-          if (e != kNever) partitions_[m->partition_]->calendar.schedule(e, m);
-        }
+        m->awake_ = false;
+        if (e != kNever) partitions_[m->partition_]->calendar.schedule(e, m);
       }
     }
   }
@@ -158,9 +154,6 @@ void Kernel::advance(std::size_t part, std::uint64_t& clock,
       awake = event_cycle(p.modules, part, part + 1, clock);
     }
     ++clock;
-    for (auto& probe : probes_) {
-      probe(clock);
-    }
   }
 }
 
@@ -232,9 +225,7 @@ std::uint64_t Kernel::digest() const {
 void Kernel::run(std::uint64_t cycles) {
   const std::uint64_t end = cycle_ + cycles;
   if (!partitioned()) {
-    // Probes force per-cycle stepping: they observe every committed
-    // cycle, and a leapt cycle is never committed.
-    advance(0, cycle_, end, probes_.empty(), kNotDone);
+    advance(0, cycle_, end, /*may_leap=*/true, kNotDone);
     return;
   }
   while (cycle_ < end) {
@@ -267,7 +258,7 @@ std::uint64_t Kernel::run_until(const std::function<bool()>& done,
     // done() predicates read module state (drain/quiescence checks),
     // which is frozen across a leapt gap, so one evaluation before the
     // leap covers every skipped boundary.
-    advance(0, cycle_, start + max_cycles, probes_.empty(), done);
+    advance(0, cycle_, start + max_cycles, /*may_leap=*/true, done);
     return cycle_ - start;
   }
   // Partitioned: one-cycle epochs, so done() sees every cycle boundary.

@@ -27,19 +27,18 @@
 //    At ~100% write density an explicit dirty list measured slower — see
 //    DESIGN.md §2 — which is why the full path keeps the flag scan. It is
 //    the reference oracle every other execution path is proven against.
-//  * kTimeLeap is the event-driven scheduler. It keeps an active set:
-//    modules whose is_idle() predicate holds are skipped until a signal
-//    they watch is written (Signal::watch wires the wake) or they are
-//    woken explicitly (Module::wake, e.g. on an external
-//    push_transaction). A module that stays busy only because of *future*
-//    state (a beat mid-pipe, a job inside its service window, a blocked
-//    release) declares the cycle of its next self-driven change via
-//    Module::next_event() and sleeps on a timed-wake calendar
-//    (calendar.hpp). When the active set drains the kernel leaps the
-//    clock straight to the calendar's next due cycle instead of walking
-//    the gap. Write density is low, so commit walks the cycle's dirty
-//    list instead of scanning every signal. kGated is the legacy
-//    spelling of the same scheduler.
+//  * kTimeLeap is the event-driven scheduler. It keeps an active set,
+//    and each module answers one question after it ticks:
+//    Module::next_event(), the cycle of its next self-driven change.
+//    kNever sleeps the module until a signal it watches is written
+//    (Signal::watch wires the wake) or it is woken explicitly
+//    (Module::wake, e.g. on an external push_transaction). A future
+//    cycle (a beat mid-pipe, a job inside its service window, a blocked
+//    release) parks it on a timed-wake calendar (calendar.hpp). When the
+//    active set drains the kernel leaps the clock straight to the
+//    calendar's next due cycle instead of walking the gap. Write density
+//    is low, so commit walks the cycle's dirty list instead of scanning
+//    every signal. kGated is the legacy spelling of the same scheduler.
 //
 // Both schedulers are required to be bit-exact with each other; the
 // differential harness in tests/kernel_equiv_test.cpp and
@@ -130,20 +129,34 @@ class Module {
   /// full scheduler; skipped while asleep under the event-driven one.
   virtual void tick(Kernel& kernel) = 0;
 
-  /// Quiescence predicate for the event-driven scheduler: return true only
-  /// when the next tick() would provably change no internal state and write
-  /// no signal value that differs from what the wires already hold. Modules
-  /// that cannot promise this keep the safe default (never skipped). The
-  /// kernel evaluates this after commit, so implementations read committed
-  /// signal values. See DESIGN.md §9 for the per-module contracts.
-  virtual bool is_idle() const { return false; }
+  /// The module's one sleep claim (event-driven scheduler): the cycle of
+  /// its next *self-driven* state change, asked right after each tick
+  /// the module runs. The kernel asks after commit, so implementations
+  /// read committed signal values. Contract:
+  ///
+  ///  * now + 1 or less (the safe default) — stay awake; tick next cycle.
+  ///  * kNever — sleep until a watched signal is written or wake() is
+  ///    called: the next tick would provably change no internal state and
+  ///    write no signal value that differs from what the wires hold.
+  ///  * any c > now + 1 — sleep on the wake calendar until cycle c; every
+  ///    tick in (now, c) must be an observable no-op (no committed signal
+  ///    change, no internal state change that a later cycle could see).
+  ///    Counters that would have advanced during the gap must be caught
+  ///    up in closed form on the next tick (DESIGN.md §9).
+  ///
+  /// Spurious early wakes are harmless by the same contract; returning a
+  /// too-late cycle is a correctness bug the differential harness catches.
+  /// See DESIGN.md §9 for the per-module contracts.
+  virtual std::uint64_t next_event(std::uint64_t now) const {
+    return now + 1;
+  }
 
   /// Re-arms this module. Called automatically when a watched signal is
   /// written; call it directly when injecting work from outside the
   /// simulation (e.g. MasterCore::push_transaction). Arms the *current*
   /// tick phase too: an externally-injected transaction must be served
   /// the same cycle as under the full scheduler, and an extra tick of a
-  /// genuinely idle module is a no-op by the is_idle() contract, so a
+  /// sleeping module is a no-op by the next_event() contract, so a
   /// mid-phase wake of a later-ordered module is harmless.
   void wake() {
     woken_ = true;
@@ -153,24 +166,6 @@ class Module {
   /// True while the event-driven scheduler is ticking this module (always
   /// true under the full scheduler, which ignores the flag).
   bool awake() const { return awake_; }
-
-  /// Event-driven scheduler only: the cycle of this module's next
-  /// *self-driven* state change, consulted right after a tick when
-  /// is_idle() is still false. Contract:
-  ///
-  ///  * now + 1 (the safe default) — stay awake; tick again next cycle.
-  ///  * kNever — nothing pending; sleep until a watched-signal wake.
-  ///  * any c > now + 1 — sleep on the wake calendar until cycle c; every
-  ///    tick in (now, c) must be an observable no-op (no committed signal
-  ///    change, no internal state change that a later cycle could see).
-  ///    Counters that would have advanced during the gap must be caught
-  ///    up in closed form on the next tick (DESIGN.md §9).
-  ///
-  /// Spurious early wakes are harmless by the same contract; returning a
-  /// too-late cycle is a correctness bug the differential harness catches.
-  virtual std::uint64_t next_event(std::uint64_t now) const {
-    return now + 1;
-  }
 
  private:
   friend class Kernel;
@@ -378,19 +373,10 @@ class Kernel {
     partitions_[creation_partition_]->modules.push_back(&module);
   }
 
-  /// Registers a callback run after every commit (statistics probes).
-  /// Probes run every cycle under both schedulers. Incompatible with
-  /// partitioned execution: inside an epoch there is no globally
-  /// committed cycle to observe.
-  void add_probe(std::function<void(std::uint64_t cycle)> probe) {
-    XPL_ASSERT(!partitioned());
-    probes_.push_back(std::move(probe));
-  }
-
   /// Advances one clock cycle: tick (awake) modules, commit staged
-  /// signals, update the active set (event-driven), run probes. Never
-  /// leaps. Partitioned: a one-cycle epoch (exact, just without
-  /// lookahead batching).
+  /// signals, update the active set (event-driven). Never leaps.
+  /// Partitioned: a one-cycle epoch (exact, just without lookahead
+  /// batching).
   void step();
 
   /// Advances `cycles` clock cycles. Partitioned: runs epochs of up to
@@ -407,7 +393,7 @@ class Kernel {
   /// Parks `m` on the wake calendar for cycle `due` (time-leap scheduler).
   /// Under kFull — or when `due` is not in the future — this wakes
   /// the module immediately instead: an extra awake tick is a no-op by the
-  /// is_idle() contract, so callers need no scheduler-specific logic.
+  /// next_event() contract, so callers need no scheduler-specific logic.
   void schedule_wake(Module& m, std::uint64_t due) {
     if (scheduler_ == Scheduler::kFull || due <= cycle()) {
       m.wake();
@@ -436,7 +422,7 @@ class Kernel {
 
   std::size_t module_count() const { return modules_.size(); }
   /// Registered modules in tick order (quiescence-invariant tests walk
-  /// this to check every module's is_idle() claim after a drain).
+  /// this to check every module's next_event() claim after a drain).
   const std::vector<Module*>& modules() const { return modules_; }
   std::size_t signal_count() const { return signal_count_; }
   /// Distinct signal types in use (== virtual dispatches per commit).
@@ -541,7 +527,6 @@ class Kernel {
   std::vector<std::unique_ptr<SignalPoolBase>> pools_;
   std::unordered_map<std::type_index, SignalPoolBase*> pool_index_;
   std::size_t signal_count_ = 0;
-  std::vector<std::function<void(std::uint64_t)>> probes_;
   std::uint64_t cycle_ = 0;
   std::uint64_t leapt_cycles_ = 0;  ///< wholesale all-partition leaps
 

@@ -7,13 +7,16 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/line_format.hpp"
 
 namespace xpl::sweep {
 
 namespace {
 
+constexpr std::string_view kFormat = "checkpoint";
+
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("checkpoint line " + std::to_string(line) + ": " + what);
+  throw_line_error(kFormat, line, what);
 }
 
 /// Exact double round-trip: C99 hexfloat in, strtod out.
@@ -31,18 +34,6 @@ double parse_hex_double(const std::string& token, std::size_t line) {
     fail(line, "bad float '" + token + "'");
   }
   return value;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    return std::stoull(token);
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
 }
 
 /// Error strings are free-form exception text: escape the separators the
@@ -167,7 +158,7 @@ Checkpoint parse_checkpoint(const std::string& text) {
     } else if (key == "points") {
       std::string count;
       ls >> count;
-      ckpt.num_points = parse_u64(count, lineno);
+      ckpt.num_points = parse_u64(count, kFormat, lineno);
       saw_points = true;
     } else if (key == "result") {
       if (!saw_points) fail(lineno, "result before points line");
@@ -176,7 +167,7 @@ Checkpoint parse_checkpoint(const std::string& text) {
         if (!(ls >> t)) fail(lineno, "truncated result row");
       }
       SweepResult r;
-      r.point.index = parse_u64(tok[0], lineno);
+      r.point.index = parse_u64(tok[0], kFormat, lineno);
       if (r.point.index >= ckpt.num_points) {
         fail(lineno, "result index " + tok[0] + " out of range (points " +
                          std::to_string(ckpt.num_points) + ")");
@@ -184,10 +175,10 @@ Checkpoint parse_checkpoint(const std::string& text) {
       if (tok[1] != "0" && tok[1] != "1") fail(lineno, "bad ok flag");
       r.ok = tok[1] == "1";
       r.evaluated = true;
-      r.transactions = parse_u64(tok[2], lineno);
-      r.link_flits = parse_u64(tok[3], lineno);
-      r.retransmissions = parse_u64(tok[4], lineno);
-      r.credit_stalls = parse_u64(tok[5], lineno);
+      r.transactions = parse_u64(tok[2], kFormat, lineno);
+      r.link_flits = parse_u64(tok[3], kFormat, lineno);
+      r.retransmissions = parse_u64(tok[4], kFormat, lineno);
+      r.credit_stalls = parse_u64(tok[5], kFormat, lineno);
       r.avg_latency_cycles = parse_hex_double(tok[6], lineno);
       r.p95_latency_cycles = parse_hex_double(tok[7], lineno);
       r.throughput_tpc = parse_hex_double(tok[8], lineno);

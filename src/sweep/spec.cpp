@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/line_format.hpp"
 #include "src/common/rng.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/format.hpp"
@@ -17,48 +18,11 @@ namespace xpl::sweep {
 
 namespace {
 
+constexpr std::string_view kFormat = "sweep";
+
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("sweep line " + std::to_string(line) + ": " + what);
+  throw_line_error(kFormat, line, what);
 }
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  // stoull silently wraps negatives; reject anything but plain digits.
-  if (token.empty() || token.find_first_not_of("0123456789") !=
-                           std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
-double parse_f64(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
 
 /// line 0 = not parsing a file (validating an in-memory spec).
 traffic::Pattern parse_pattern(const std::string& name, std::size_t line) {
@@ -349,7 +313,7 @@ SweepSpec parse_sweep(const std::string& text) {
   // holds exactly the listed values.
   while (std::getline(is, line)) {
     ++lineno;
-    const auto tokens = tokenize(line);
+    const auto tokens = tokenize_line(line);
     if (tokens.empty()) continue;
     const std::string& key = tokens[0];
 
@@ -365,14 +329,14 @@ SweepSpec parse_sweep(const std::string& text) {
     auto u64_list = [&]() {
       std::vector<std::size_t> values;
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        values.push_back(parse_u64(tokens[t], lineno));
+        values.push_back(parse_u64(tokens[t], kFormat, lineno));
       }
       return values;
     };
     auto f64_list = [&]() {
       std::vector<double> values;
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        values.push_back(parse_f64(tokens[t], lineno));
+        values.push_back(parse_f64(tokens[t], kFormat, lineno));
       }
       return values;
     };
@@ -382,26 +346,26 @@ SweepSpec parse_sweep(const std::string& text) {
       spec.name = tokens[1];
     } else if (key == "seed") {
       need(2);
-      spec.seed = parse_u64(tokens[1], lineno);
+      spec.seed = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "cycles") {
       need(2);
-      spec.sim_cycles = parse_u64(tokens[1], lineno);
+      spec.sim_cycles = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "drain") {
       need(2);
-      spec.drain_cycles = parse_u64(tokens[1], lineno);
+      spec.drain_cycles = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "samples") {
       need(2);
-      spec.samples = parse_u64(tokens[1], lineno);
+      spec.samples = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "target_mhz") {
       need(2);
-      spec.target_mhz = parse_f64(tokens[1], lineno);
+      spec.target_mhz = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "read_fraction") {
       need(2);
-      spec.read_fraction = parse_f64(tokens[1], lineno);
+      spec.read_fraction = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "max_burst") {
       need(2);
       spec.max_burst =
-          static_cast<std::uint32_t>(parse_u64(tokens[1], lineno));
+          static_cast<std::uint32_t>(parse_u64(tokens[1], kFormat, lineno));
     } else if (key == "routing") {
       need(2);
       if (!known_routings().count(tokens[1])) {
@@ -419,15 +383,15 @@ SweepSpec parse_sweep(const std::string& text) {
       spec.scheduler = tokens[1];
     } else if (key == "threads") {
       need(2);
-      spec.threads = parse_u64(tokens[1], lineno);
+      spec.threads = parse_u64(tokens[1], kFormat, lineno);
       if (spec.threads < 1) fail(lineno, "threads must be >= 1");
     } else if (key == "partitions") {
       need(2);
-      spec.partitions = parse_u64(tokens[1], lineno);
+      spec.partitions = parse_u64(tokens[1], kFormat, lineno);
       if (spec.partitions < 1) fail(lineno, "partitions must be >= 1");
     } else if (key == "concentration") {
       need(2);
-      spec.concentration = parse_u64(tokens[1], lineno);
+      spec.concentration = parse_u64(tokens[1], kFormat, lineno);
       if (spec.concentration < 1) {
         fail(lineno, "concentration must be >= 1");
       }

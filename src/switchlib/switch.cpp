@@ -390,48 +390,27 @@ bool Switch::idle() const {
   return true;
 }
 
-bool Switch::is_idle() const {
+std::uint64_t Switch::next_event(std::uint64_t now) const {
   // Unlike idle(), a held wormhole lock or unACKed-but-transmitted flit
   // is sleepable state: only an input-wire or reverse-wire beat can move
-  // it along, and both wake this module via the endpoint watches.
+  // it along, and both wake this module via the endpoint watches. So is
+  // a starved sender's per-cycle stall count: those frozen ticks are
+  // caught up in closed form, and the credit return wakes the switch
+  // through the watched reverse wire. Anything else (buffered flits,
+  // delay-line entries, arriving beats) needs the next cycle.
   for (const InputPort& in : inputs_) {
-    if (!in.rx.gate_idle()) return false;
+    if (!in.rx.gate_idle()) return now + 1;
     for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty()) return false;
+      if (!lane.fifo.empty()) return now + 1;
     }
   }
   for (const OutputPort& out : outputs_) {
-    if (!out.tx.gate_idle()) return false;
+    if (!out.tx.gate_idle()) return now + 1;
     for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return false;
+      if (!lane.fifo.empty() || !lane.pipe.empty()) return now + 1;
     }
   }
-  return true;
-}
-
-bool Switch::leap_idle() const {
-  for (const InputPort& in : inputs_) {
-    if (!in.rx.gate_idle()) return false;
-    for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty()) return false;
-    }
-  }
-  for (const OutputPort& out : outputs_) {
-    if (!out.tx.gate_idle_leap()) return false;
-    for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return false;
-    }
-  }
-  return true;
-}
-
-std::uint64_t Switch::next_event(std::uint64_t now) const {
-  // Only consulted when is_idle() is false. If the switch is busy solely
-  // because a starved sender must count per-cycle stalls, those frozen
-  // ticks are caught up in closed form — sleep until the credit return
-  // wakes it through the watched reverse wire. Anything else (buffered
-  // flits, delay-line entries, arriving beats) needs the next cycle.
-  return leap_idle() ? sim::kNever : now + 1;
+  return sim::kNever;
 }
 
 }  // namespace xpl::switchlib

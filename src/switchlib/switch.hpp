@@ -110,16 +110,12 @@ class Switch : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (event-driven scheduler): every buffer, delay
-  /// line and endpoint is inert. Held wormhole locks are static state and
-  /// do NOT keep the switch awake — the next body flit wakes it through
-  /// its input wire. See DESIGN.md §9.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when the switch is busy only by the
-  /// credit-counter clause of is_idle() (a starved sender's per-cycle
-  /// stall count is restored in closed form on wake — DESIGN.md §9),
-  /// next cycle otherwise.
+  /// Sleep claim (event-driven scheduler): kNever when every buffer,
+  /// delay line and endpoint is inert, next cycle otherwise. Held
+  /// wormhole locks are static state and do NOT keep the switch awake —
+  /// the next body flit wakes it through its input wire — and neither
+  /// does a starved sender, whose per-cycle stall count is restored in
+  /// closed form on wake. See DESIGN.md §9.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const SwitchConfig& config() const { return config_; }
@@ -189,10 +185,6 @@ class Switch : public sim::Module {
   /// `out_port` — the VC-allocation rule (see file comment).
   std::uint8_t out_vc(std::size_t in_port, std::uint8_t in_vc,
                       std::size_t out_port) const;
-
-  /// is_idle() with the senders' zero-credit counter clause relaxed to
-  /// gate_idle_leap — the sleep bound the time-leap scheduler uses.
-  bool leap_idle() const;
 
   SwitchConfig config_;
   std::vector<InputPort> inputs_;

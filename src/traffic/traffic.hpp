@@ -135,13 +135,12 @@ class TracePlayer {
   /// Schedulable face of the player (time-leap runs only): ticks after
   /// every network module, rolling the player far enough ahead that any
   /// transaction released at cycle c is queued before c begins. Inert
-  /// (is_idle) outside run().
+  /// (next_event() == kNever) outside run().
   class Injector : public sim::Module {
    public:
     explicit Injector(TracePlayer& owner)
         : sim::Module("trace_player.injector"), owner_(owner) {}
     void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
-    bool is_idle() const override { return !owner_.active_; }
     std::uint64_t next_event(std::uint64_t now) const override {
       return owner_.injector_next_event(now);
     }
@@ -207,7 +206,6 @@ class TrafficDriver {
     explicit Injector(TrafficDriver& owner)
         : sim::Module("traffic_driver.injector"), owner_(owner) {}
     void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
-    bool is_idle() const override { return !owner_.active_; }
     std::uint64_t next_event(std::uint64_t now) const override {
       return owner_.injector_next_event(now);
     }

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/line_format.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/format.hpp"
 #include "src/workload/benchmarks.hpp"
@@ -15,45 +16,10 @@ namespace xpl::tune {
 
 namespace {
 
+constexpr std::string_view kFormat = "tune";
+
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("tune line " + std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
-double parse_f64(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
+  throw_line_error(kFormat, line, what);
 }
 
 const std::set<std::string>& known_topologies() {
@@ -200,7 +166,7 @@ TuneSpec parse_tune(const std::string& text) {
 
   while (std::getline(is, line)) {
     ++lineno;
-    const auto tokens = tokenize(line);
+    const auto tokens = tokenize_line(line);
     if (tokens.empty()) continue;
     const std::string& key = tokens[0];
 
@@ -216,42 +182,42 @@ TuneSpec parse_tune(const std::string& text) {
       spec.name = tokens[1];
     } else if (key == "seed") {
       need(2);
-      spec.seed = parse_u64(tokens[1], lineno);
+      spec.seed = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "cycles") {
       need(2);
-      spec.sim_cycles = parse_u64(tokens[1], lineno);
+      spec.sim_cycles = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "drain") {
       need(2);
-      spec.drain_cycles = parse_u64(tokens[1], lineno);
+      spec.drain_cycles = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "warmup") {
       need(2);
-      spec.warmup = parse_u64(tokens[1], lineno);
+      spec.warmup = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "budget") {
       need(2);
-      spec.budget = parse_u64(tokens[1], lineno);
+      spec.budget = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "rate") {
       need(2);
-      spec.rate = parse_f64(tokens[1], lineno);
+      spec.rate = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "burstiness") {
       need(2);
-      spec.burstiness = parse_f64(tokens[1], lineno);
+      spec.burstiness = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "read_fraction") {
       need(2);
-      spec.read_fraction = parse_f64(tokens[1], lineno);
+      spec.read_fraction = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "max_burst") {
       need(2);
       spec.max_burst =
-          static_cast<std::uint32_t>(parse_u64(tokens[1], lineno));
+          static_cast<std::uint32_t>(parse_u64(tokens[1], kFormat, lineno));
     } else if (key == "target_mhz") {
       need(2);
-      spec.target_mhz = parse_f64(tokens[1], lineno);
+      spec.target_mhz = parse_f64(tokens[1], kFormat, lineno);
     } else if (key == "objective") {
       if (tokens.size() < 3 || tokens.size() % 2 == 0) {
         fail(lineno, "'objective' expects key/weight pairs");
       }
       spec.objective = Objective{0, 0, 0, 0, 0};
       for (std::size_t t = 1; t < tokens.size(); t += 2) {
-        const double w = parse_f64(tokens[t + 1], lineno);
+        const double w = parse_f64(tokens[t + 1], kFormat, lineno);
         if (tokens[t] == "latency") {
           spec.objective.latency = w;
         } else if (tokens[t] == "p95") {
@@ -276,13 +242,13 @@ TuneSpec parse_tune(const std::string& text) {
       spec.topology = tokens[1];
     } else if (key == "width") {
       need(2);
-      spec.width = parse_u64(tokens[1], lineno);
+      spec.width = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "height") {
       need(2);
-      spec.height = parse_u64(tokens[1], lineno);
+      spec.height = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "flit_width") {
       need(2);
-      spec.flit_width = parse_u64(tokens[1], lineno);
+      spec.flit_width = parse_u64(tokens[1], kFormat, lineno);
     } else if (key == "pattern") {
       need(2);
       spec.pattern = tokens[1];
@@ -294,12 +260,12 @@ TuneSpec parse_tune(const std::string& text) {
       if (axis == "fifo_depth") {
         spec.fifo_depths.clear();
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          spec.fifo_depths.push_back(parse_u64(tokens[t], lineno));
+          spec.fifo_depths.push_back(parse_u64(tokens[t], kFormat, lineno));
         }
       } else if (axis == "vcs") {
         spec.vcss.clear();
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          const std::size_t v = parse_u64(tokens[t], lineno);
+          const std::size_t v = parse_u64(tokens[t], kFormat, lineno);
           if (v < 1 || v > link::kMaxVcs) {
             fail(lineno, "vcs must be in [1, " +
                              std::to_string(link::kMaxVcs) + "], got " +
@@ -331,9 +297,9 @@ TuneSpec parse_tune(const std::string& text) {
     } else if (key == "saturation") {
       need(4);
       spec.saturation.enabled = true;
-      spec.saturation.lo = parse_f64(tokens[1], lineno);
-      spec.saturation.hi = parse_f64(tokens[2], lineno);
-      spec.saturation.rel_tol = parse_f64(tokens[3], lineno);
+      spec.saturation.lo = parse_f64(tokens[1], kFormat, lineno);
+      spec.saturation.hi = parse_f64(tokens[2], kFormat, lineno);
+      spec.saturation.rel_tol = parse_f64(tokens[3], kFormat, lineno);
     } else {
       fail(lineno, "unknown directive '" + key + "'");
     }

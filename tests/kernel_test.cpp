@@ -114,17 +114,6 @@ TEST(Kernel, RunUntilHitsCap) {
   EXPECT_EQ(steps, 17u);
 }
 
-TEST(Kernel, ProbesRunAfterCommit) {
-  Kernel k;
-  auto& a = k.make_signal<int>(0);
-  Counter src("src", a);
-  k.add_module(src);
-  std::vector<int> observed;
-  k.add_probe([&](std::uint64_t) { observed.push_back(a.read()); });
-  k.run(3);
-  EXPECT_EQ(observed, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(Kernel, CountsModulesAndSignals) {
   Kernel k;
   auto& a = k.make_signal<int>(0);

@@ -1,25 +1,27 @@
 // Per-module quiescence invariants for the event-driven scheduler.
 //
-// The event-driven kernel skips a module whenever its is_idle() predicate
-// holds, so the predicate's contract is load-bearing for correctness:
-// is_idle() may return true only when the next tick would provably
-// change no internal state and write no signal value differing from
-// what the wires already hold. These tests pin that contract from three
-// directions:
+// The event-driven kernel skips a module whenever its next_event() claim
+// lies beyond the next cycle, so the claim's contract is load-bearing for
+// correctness: next_event() may return kNever only when the next tick
+// would provably change no internal state and write no signal value
+// differing from what the wires already hold, and a timed claim c may
+// only skip ticks that are such no-ops. These tests pin that contract
+// from three directions:
 //
 //  * kernel-level: active-set mechanics with toy modules (sleep, wake
 //    on watched writes, same-cycle wake(), two-watcher fanout);
-//  * one-step oracle: on a single-module bench, every is_idle() == true
-//    claim is verified by stepping once more and requiring the kernel
-//    digest to be a fixed point;
-//  * module-level: each network module class must actually reach idle
-//    after a drain (skipping must not be vacuous), must stay awake
-//    through time-driven state (SlaveCore's latency window), and the
-//    network as a whole must never be fully asleep with work pending.
+//  * sleep-claim oracle: on a small bench, every kNever claim is
+//    verified by stepping once more, and every timed claim c by stepping
+//    to c - 1, requiring the kernel digest to be a fixed point each
+//    cycle;
+//  * module-level: each network module class must actually answer
+//    kNever after a drain (skipping must not be vacuous), must name the
+//    end of time-driven state instead (SlaveCore's latency window), and
+//    the network as a whole must never be fully asleep with work pending.
 //
 // The cycle-by-cycle proof that skipping never changes results lives in
-// tests/kernel_equiv_test.cpp; this file proves the predicates say
-// "idle" exactly when they are entitled to.
+// tests/kernel_equiv_test.cpp; this file proves the claims say "sleep"
+// exactly when they are entitled to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,7 +62,9 @@ class Pulser : public sim::Module {
     }
   }
 
-  bool is_idle() const override { return pulses_left_ == 0 && !dirty_; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return pulses_left_ == 0 && !dirty_ ? sim::kNever : now + 1;
+  }
 
   void add_pulse() {
     ++pulses_left_;
@@ -90,7 +94,9 @@ class Counter : public sim::Module {
 
   /// Input-driven: a nonzero value on the wire means the next tick
   /// counts it, so the module may sleep only on a zero wire.
-  bool is_idle() const override { return in_.read() == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return in_.read() == 0 ? sim::kNever : now + 1;
+  }
 
   std::size_t seen() const { return seen_; }
 
@@ -179,60 +185,99 @@ TEST(Quiescence, BothWatcherSlotsAreWoken) {
 }
 
 // ---------------------------------------------------------------------
-// One-step oracle: a claimed-idle module on a single-module bench must
-// leave the kernel digest a fixed point when stepped with inert inputs.
+// Sleep-claim oracle: while the testbench leaves a bench alone, a claim
+// beyond the next cycle must hold — every tick before it is a no-op.
 // ---------------------------------------------------------------------
+
+/// The bench's joint sleep claim after the tick just run: the earliest
+/// next_event() over its modules (<= now + 1 when any stays awake).
+std::uint64_t joint_claim(const sim::Kernel& kernel) {
+  const std::uint64_t now = kernel.cycle() - 1;  // the cycle just ticked
+  std::uint64_t claim = sim::kNever;
+  for (const sim::Module* m : kernel.modules()) {
+    claim = std::min(claim, m->next_event(now));
+  }
+  return claim;
+}
+
+/// Steps an untouched bench through the ticks a joint `claim` beyond the
+/// next cycle promises are observable no-ops — up to claim - 1 for a
+/// timed claim, the next tick for kNever — and fails on the first
+/// digest change.
+::testing::AssertionResult claim_holds(sim::Kernel& kernel,
+                                       std::uint64_t claim) {
+  const std::uint64_t until =
+      claim == sim::kNever ? kernel.cycle() + 1 : claim;
+  const std::uint64_t d0 = kernel.digest();
+  while (kernel.cycle() < until) {
+    kernel.step();
+    if (kernel.digest() != d0) {
+      return ::testing::AssertionFailure()
+             << "claim " << claim << " broken by the tick of cycle "
+             << kernel.cycle() - 1;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(Quiescence, LinkIdleClaimsAreFixedPoints) {
   // The bench owns every signal and the link is the only module, so
-  // stepping once with no testbench writes exercises exactly the
-  // is_idle() contract: claimed idle => nothing may change.
-  sim::Kernel kernel;  // full scheduler: every claim is *checked*, not used
-  link::LinkWires up = link::LinkWires::make(kernel);
-  link::LinkWires down = link::LinkWires::make(kernel);
-  link::PipelinedLink dut("dut", up, down,
-                          link::PipelinedLink::Config{2, 0.0, 11});
-  kernel.add_module(dut);
+  // stepping with no testbench writes exercises exactly the next_event()
+  // contract. A deeper pipe keeps beats mid-flight long enough for timed
+  // claims (the front due) to skip ticks.
+  std::size_t never_checked = 0;
+  std::size_t timed_checked = 0;
+  for (const std::size_t stages : {std::size_t{2}, std::size_t{6}}) {
+    SCOPED_TRACE(stages);
+    sim::Kernel kernel;  // full scheduler: every claim is *checked*, not used
+    link::LinkWires up = link::LinkWires::make(kernel);
+    link::LinkWires down = link::LinkWires::make(kernel);
+    link::PipelinedLink dut("dut", up, down,
+                            link::PipelinedLink::Config{stages, 0.0, 11});
+    kernel.add_module(dut);
 
-  Rng rng(2024);
-  bool fwd_dirty = false;
-  bool rev_dirty = false;
-  std::size_t checked = 0;
-  for (int cycle = 0; cycle < 400; ++cycle) {
-    bool wrote = false;
-    if (rng.chance(0.25)) {
-      Flit f(BitVector(32, rng.next_u64() & 0xFFFFFFFF), true, true);
-      flit_seal(f, CrcKind::kCrc8);
-      up.fwd->write(FlitBeat{true, std::move(f)});
-      fwd_dirty = wrote = true;
-    } else if (fwd_dirty) {
-      up.fwd->write(FlitBeat{});
-      fwd_dirty = false;
-      wrote = true;
+    Rng rng(2024);
+    bool fwd_dirty = false;
+    bool rev_dirty = false;
+    for (int cycle = 0; cycle < 400; ++cycle) {
+      bool wrote = false;
+      if (rng.chance(0.25)) {
+        Flit f(BitVector(32, rng.next_u64() & 0xFFFFFFFF), true, true);
+        flit_seal(f, CrcKind::kCrc8);
+        up.fwd->write(FlitBeat{true, std::move(f)});
+        fwd_dirty = wrote = true;
+      } else if (fwd_dirty) {
+        up.fwd->write(FlitBeat{});
+        fwd_dirty = false;
+        wrote = true;
+      }
+      if (rng.chance(0.15)) {
+        down.rev->write(AckBeat{true, true, 1});
+        rev_dirty = wrote = true;
+      } else if (rev_dirty) {
+        down.rev->write(AckBeat{});
+        rev_dirty = false;
+        wrote = true;
+      }
+      kernel.step();
+      const std::uint64_t claim = joint_claim(kernel);
+      if (wrote || claim <= kernel.cycle()) continue;
+      ASSERT_TRUE(claim_holds(kernel, claim)) << "at bench cycle " << cycle;
+      if (claim == sim::kNever) {
+        ASSERT_EQ(joint_claim(kernel), sim::kNever);
+        ++never_checked;
+      } else {
+        ++timed_checked;
+      }
     }
-    if (rng.chance(0.15)) {
-      down.rev->write(AckBeat{true, true, 1});
-      rev_dirty = wrote = true;
-    } else if (rev_dirty) {
-      down.rev->write(AckBeat{});
-      rev_dirty = false;
-      wrote = true;
-    }
-    kernel.step();
-    if (wrote || !dut.is_idle()) continue;
-    const std::uint64_t d0 = kernel.digest();
-    kernel.step();  // no stimulus: the claim must be a fixed point
-    ASSERT_EQ(kernel.digest(), d0)
-        << "link claimed idle at cycle " << cycle << " but changed state";
-    ASSERT_TRUE(dut.is_idle());
-    ++checked;
+    EXPECT_GT(dut.flits_carried(), 0u) << "stimulus never exercised the link";
   }
-  EXPECT_GT(checked, 20u) << "stimulus never let the link go idle";
-  EXPECT_GT(dut.flits_carried(), 0u) << "stimulus never exercised the link";
+  EXPECT_GT(never_checked, 20u) << "stimulus never let the link sleep";
+  EXPECT_GT(timed_checked, 20u) << "stimulus never parked a beat mid-pipe";
 }
 
 // ---------------------------------------------------------------------
-// OCP endpoint predicates.
+// OCP endpoint sleep claims.
 // ---------------------------------------------------------------------
 
 struct OcpBench {
@@ -266,27 +311,30 @@ struct OcpBench {
 
 TEST(Quiescence, MasterIdleTracksItsWorkQueue) {
   OcpBench b(/*latency=*/2);
-  EXPECT_TRUE(b.master.is_idle());
-  EXPECT_TRUE(b.slave.is_idle());
+  EXPECT_EQ(b.master.next_event(0), sim::kNever);
+  EXPECT_EQ(b.slave.next_event(0), sim::kNever);
 
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
   txn.addr = 0x40;
   txn.burst_len = 1;
   b.master.push_transaction(txn);
-  EXPECT_FALSE(b.master.is_idle()) << "queued work must keep it awake";
+  b.kernel.step();  // the push's wake() serves the head this very cycle
+  EXPECT_EQ(b.master.next_event(0), 1u) << "issuing work must keep it awake";
 
   b.kernel.run_until([&] { return b.master.quiescent(); }, 5000);
   b.kernel.run(20);
-  EXPECT_TRUE(b.master.is_idle());
-  EXPECT_TRUE(b.slave.is_idle());
+  const std::uint64_t now = b.kernel.cycle() - 1;
+  EXPECT_EQ(b.master.next_event(now), sim::kNever);
+  EXPECT_EQ(b.slave.next_event(now), sim::kNever);
   EXPECT_EQ(b.master.completed().size(), 1u);
 }
 
 TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   // The service-latency wait is time-driven: no wire write will re-arm
-  // the slave, so is_idle() == true mid-window would hang the event-driven
-  // kernel. Probe the middle of a long window directly.
+  // the slave, so a kNever claim mid-window would hang the event-driven
+  // kernel. Probe the middle of a long window directly: the slave must
+  // name the window's end instead.
   OcpBench b(/*latency=*/30);
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
@@ -294,19 +342,56 @@ TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   txn.burst_len = 1;
   b.master.push_transaction(txn);
   b.kernel.run(15);  // request delivered; response ~15 cycles away
-  EXPECT_FALSE(b.slave.is_idle())
+  const std::uint64_t now = b.kernel.cycle() - 1;
+  const std::uint64_t claim = b.slave.next_event(now);
+  EXPECT_NE(claim, sim::kNever)
       << "slave slept on a job awaiting its ready_cycle";
-  EXPECT_TRUE(b.master.is_idle())
+  EXPECT_GT(claim, now + 1) << "the window's end is a timed claim";
+  EXPECT_EQ(b.master.next_event(now), sim::kNever)
       << "awaiting a response is sleepable (the beat wakes it)";
 
   b.kernel.run_until([&] { return b.master.quiescent(); }, 5000);
   b.kernel.run(20);
   EXPECT_EQ(b.master.completed().size(), 1u);
-  EXPECT_TRUE(b.slave.is_idle());
+  EXPECT_EQ(b.slave.next_event(b.kernel.cycle() - 1), sim::kNever);
+}
+
+TEST(Quiescence, SlaveTimedClaimsAreFixedPoints) {
+  // Random reads and writes through the master; whenever the whole bench
+  // claims sleep — the slave typically parked on its front job's
+  // ready_cycle, the master awaiting the response — every tick before the
+  // claimed cycle must leave the digest unchanged.
+  OcpBench b(/*latency=*/12);
+  Rng rng(77);
+  std::size_t pushed = 0;
+  std::size_t timed_checked = 0;
+  for (int cycle = 0; cycle < 3000; ++cycle) {
+    if (rng.chance(0.04)) {
+      ocp::Transaction txn;
+      txn.cmd = rng.chance(0.5) ? ocp::Cmd::kRead : ocp::Cmd::kWrite;
+      txn.burst_len = 1 + static_cast<std::uint32_t>(rng.next_u64() % 4);
+      txn.addr = 8 * (rng.next_u64() % 1024);
+      if (txn.cmd == ocp::Cmd::kWrite) {
+        for (std::uint32_t i = 0; i < txn.burst_len; ++i) {
+          txn.data.push_back(rng.next_u64());
+        }
+      }
+      b.master.push_transaction(txn);
+      ++pushed;
+    }
+    b.kernel.step();
+    const std::uint64_t claim = joint_claim(b.kernel);
+    if (claim <= b.kernel.cycle()) continue;
+    ASSERT_TRUE(claim_holds(b.kernel, claim)) << "at bench cycle " << cycle;
+    if (claim != sim::kNever) ++timed_checked;
+  }
+  EXPECT_GT(timed_checked, 20u) << "the slave never parked on a window";
+  b.kernel.run_until([&] { return b.master.quiescent(); }, 5000);
+  EXPECT_EQ(b.master.completed().size(), pushed);
 }
 
 // ---------------------------------------------------------------------
-// Whole-network predicates.
+// Whole-network sleep claims.
 // ---------------------------------------------------------------------
 
 noc::NetworkConfig mesh_config() {
@@ -334,9 +419,10 @@ TEST(Quiescence, EveryModuleClassReachesIdleAfterDrain) {
   ASSERT_TRUE(net.quiescent());
   net.step(20);  // let trailing drive-idle resets land and the set decay
 
+  const std::uint64_t now = net.kernel().cycle() - 1;
   for (const sim::Module* m : net.kernel().modules()) {
-    EXPECT_TRUE(m->is_idle()) << "still claims busy after drain: "
-                              << m->name();
+    EXPECT_EQ(m->next_event(now), sim::kNever)
+        << "still claims busy after drain: " << m->name();
   }
   EXPECT_EQ(net.kernel().awake_count(), 0u);
   const std::uint64_t d0 = net.kernel().digest();

@@ -212,6 +212,27 @@ TEST(SpecIo, RejectsMalformedInput) {
                Error);
   EXPECT_THROW(parse_spec("switch a\nswitch b\nlink a b sideband\n"),
                Error);
+  // Numbers are plain decimal digits: std::stoull alone would wrap a
+  // leading '-' to 2^64 - 1 and accept a leading '+'.
+  EXPECT_THROW(parse_spec("partitions -1\n"), Error);
+  EXPECT_THROW(parse_spec("flit_width +32\n"), Error);
+  EXPECT_THROW(parse_spec("switch a\nswitch b\nlink a b stages -1\n"),
+               Error);
+  EXPECT_THROW(parse_spec("switch a\nswitch b\nlink a b class -1\n"),
+               Error);
+  EXPECT_THROW(parse_spec("switch a coord -1 0\n"), Error);
+  EXPECT_THROW(parse_spec("switch a coord 0 -1\n"), Error);
+  // Coordinates must fit in int.
+  EXPECT_THROW(parse_spec("switch a coord 2147483648 0\n"), Error);
+  EXPECT_THROW(parse_spec("switch a coord 0 99999999999\n"), Error);
+  EXPECT_EQ(parse_spec("switch a coord 2147483647 0\n").topo.switch_node(0).x,
+            2147483647);
+  try {
+    parse_spec("noc n\npartitions -1\n");
+    FAIL() << "negative partitions accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "spec line 2: bad number '-1'");
+  }
 }
 
 TEST(SpecIo, CommentsAndBlanksIgnored) {

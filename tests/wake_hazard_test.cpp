@@ -147,10 +147,11 @@ TEST(WakeHazard, PushIntoDrainedNetworkCompletesInLockstep) {
 
 TEST(WakeHazard, StarvedCreditSenderKeepsCountingStalls) {
   // Saturate a small credit-flow mesh so senders park at zero credits.
-  // gate_idle() must refuse to sleep there: each starved cycle owes a
-  // credit_stalls_ increment, and a sleeping sender would undercount
-  // (the differential digests would still match — only the counters
-  // drift — which is why this needs its own regression).
+  // Each starved cycle owes a credit_stalls_ increment; a sender may
+  // sleep there only because the skipped stalls are caught up in closed
+  // form on wake. A missed catch-up would undercount (the differential
+  // digests would still match — only the counters drift — which is why
+  // this needs its own regression).
   auto run = [](sim::Scheduler scheduler) {
     noc::NetworkConfig cfg;
     cfg.routing = topology::RoutingAlgorithm::kXY;

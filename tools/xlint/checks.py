@@ -5,8 +5,8 @@ the fact (docs/LINTING.md maps each rule to its backstop):
 
   determinism          XL101 unordered-iter, XL102 pointer-order,
                        XL103 unstable-sort, XL104 banned-call
-  module contract      XL201 missing-is-idle, XL202 idle-state-coupling,
-                       XL203 missing-next-event
+  module contract      XL201 missing-next-event, XL202 sleep-state-coupling,
+                       XL203 never-wakes
   signal discipline    XL301 write-outside-tick, XL302 watcher-budget,
                        XL303 signal-handle
   export stability     XL401 raw-float-export
@@ -30,9 +30,9 @@ RULES: dict[str, tuple[str, str]] = {
     "XL102": ("pointer-order", "pointer values used as an ordering key"),
     "XL103": ("sort", "std::sort with a single-key comparator (tie order unspecified)"),
     "XL104": ("banned", "wall-clock/env/libc-rng call on a simulation path"),
-    "XL201": ("idle", "concrete sim::Module subclass without is_idle() override"),
-    "XL202": ("idle", "is_idle() reads none of the state tick() advances"),
-    "XL203": ("next-event", "time-driven sleeper without a next_event() override"),
+    "XL201": ("idle", "concrete sim::Module subclass without next_event() override"),
+    "XL202": ("idle", "next_event() reads none of the state tick() advances"),
+    "XL203": ("next-event", "time-driven module whose next_event() can only return kNever"),
     "XL301": ("write", "Signal write outside a tick()/exchange()-reachable path"),
     "XL302": ("watch", "more than two static watch() registrations on one wire"),
     "XL303": ("signal-handle", "raw Signal handle stored in a module outside the CutLink seam"),
@@ -84,13 +84,17 @@ UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 # Members whose names advertise a self-scheduled future cycle. A module
-# that tracks one of these and still claims is_idle() can sleep under
-# the time-leap scheduler past the very cycle the member names.
+# that tracks one of these and whose next_event() can only answer kNever
+# sleeps under the time-leap scheduler past the very cycle the member
+# names.
 DUE_MEMBER_RE = re.compile(r"(?:^|_)(?:due|deadline)s?(?:_|$)")
 
 # A read of the kernel clock (Kernel::cycle()); begin_cycle()/end_cycle()
 # don't match — `_` is a word character, so \b stops at the prefix.
 CYCLE_READ_RE = re.compile(r"\bcycle\s*\(\s*\)")
+
+# One return statement; group 1 is the returned expression.
+RETURN_RE = re.compile(r"\breturn\b([^;]*);")
 
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+([A-Za-z_]\w*)\s*(?:[;=,)\{]|$)", re.M)
 INT_DECL_RE = re.compile(
@@ -106,6 +110,22 @@ def _module_classes(sf: SourceFile) -> list[ClassInfo]:
 
 def _body_line(fn: FunctionInfo, offset: int) -> int:
     return fn.start_line + fn.body.count("\n", 0, offset)
+
+
+def _only_returns_never(body: str) -> bool:
+    """True when every return in `body` can only yield kNever: each
+    return expression, or every alternative of a ?: in it, is the bare
+    (possibly qualified) kNever. Nested ternaries count their conditions
+    as alternatives, which errs toward silence."""
+    exprs = RETURN_RE.findall(body)
+    if not exprs:
+        return False
+    for expr in exprs:
+        expr = re.sub(r"\b\w+\s*::\s*", "", expr)  # sim::kNever -> kNever
+        leaves = re.split(r"[?:]", expr)[1:] if "?" in expr else [expr]
+        if any(leaf.strip(" \t\n()") != "kNever" for leaf in leaves):
+            return False
+    return True
 
 
 def _enclosing_function(sf: SourceFile, line: int) -> FunctionInfo | None:
@@ -487,58 +507,53 @@ class Analyzer:
             extent = "\n".join(
                 sf.code_lines()[decl_ci.start_line - 1 : decl_ci.end_line]
             )
-            if "is_idle" not in mc.methods:
-                if not re.search(r"\bis_idle\s*\(", extent):
+            if "next_event" not in mc.methods:
+                if not re.search(r"\bnext_event\s*\(", extent):
                     self._emit(
                         sf,
                         mc.decl_site[1],
                         "XL201",
-                        f"module '{mc.name}' never overrides is_idle(): the "
-                        "event-driven scheduler would never skip it, and DESIGN.md §9 "
-                        "requires an "
-                        "explicit quiescence claim for every concrete module — "
-                        "override it (return false is an acceptable claim) or "
-                        "annotate idle-ok(<reason>)",
+                        f"module '{mc.name}' never overrides next_event(): the "
+                        "event-driven scheduler would never let it sleep, and "
+                        "DESIGN.md §9 requires an explicit sleep claim for every "
+                        "concrete module — override it (return now + 1 is an "
+                        "acceptable claim) or annotate idle-ok(<reason>)",
                     )
-                    continue
-                self._check_next_event(mc, sf, extent, file_by_path)
                 continue
             member_names = {name for _f, _t, _l, name in mc.members}
-            idle_tokens = set(IDENT_RE.findall(mc.methods["is_idle"]))
+            claim_tokens = set(IDENT_RE.findall(mc.methods["next_event"]))
             reach_tokens: set[str] = set()
             for name in mc.tick_reachable():
                 reach_tokens.update(IDENT_RE.findall(mc.methods[name]))
-            coupled = idle_tokens & member_names & reach_tokens
+            coupled = claim_tokens & member_names & reach_tokens
             if not coupled and mc.tick_reachable():
-                path, line = mc.method_sites.get("is_idle", mc.decl_site)
+                path, line = mc.method_sites.get("next_event", mc.decl_site)
                 self._emit(
                     file_by_path.get(path, sf),
                     line,
                     "XL202",
-                    f"'{mc.name}::is_idle' references none of the members its tick "
-                    "path touches: a quiescence claim decoupled from the state it "
+                    f"'{mc.name}::next_event' references none of the members its "
+                    "tick path touches: a sleep claim decoupled from the state it "
                     "guards rots silently (kernel_equiv/quiescence tests catch it "
                     "only dynamically) — read the gating state or annotate "
                     "idle-ok(<reason>)",
                 )
-            self._check_next_event(mc, sf, extent, file_by_path)
+            self._check_wakes(mc, sf, file_by_path)
 
-    def _check_next_event(
+    def _check_wakes(
         self,
         mc: MergedClass,
         sf: SourceFile,
-        extent: str,
         file_by_path: dict[str, SourceFile],
     ) -> None:
-        """XL203: a module that both claims quiescence (overrides
-        is_idle) and behaves time-drivenly — its tick path reads the
-        kernel clock, or it tracks a due/deadline member — must declare
-        its wake cycle via next_event(). Under the time-leap scheduler a
-        sleeping module is revisited only at its declared next_event (or
-        on a signal wake); a time-driven sleeper without one oversleeps
-        the very cycle its state names, and only the differential suite
-        would catch it — dynamically, per scenario."""
-        if "next_event" in mc.methods or re.search(r"\bnext_event\s*\(", extent):
+        """XL203: a time-driven module — its tick path reads the kernel
+        clock, or it tracks a due/deadline member — whose next_event()
+        can only answer kNever. Under the time-leap scheduler a sleeping
+        module is revisited only at the cycle its next_event() names (or
+        on a signal wake); one that can neither stay awake nor name a
+        cycle oversleeps the very cycle its state waits for, and only the
+        differential suite would catch it — dynamically, per scenario."""
+        if not _only_returns_never(mc.methods["next_event"]):
             return
         reach = mc.tick_reachable()
         if not reach:
@@ -555,7 +570,7 @@ class Analyzer:
         if not reads_clock and due_member is None:
             return
         if reads_clock:
-            path, line = mc.method_sites.get("is_idle", mc.decl_site)
+            path, line = mc.method_sites.get("next_event", mc.decl_site)
             why = "reads Kernel::cycle() on its tick path"
             if due_member is not None:
                 why += f" and holds due/deadline member '{due_member[2]}'"
@@ -566,10 +581,10 @@ class Analyzer:
             file_by_path.get(path, sf),
             line,
             "XL203",
-            f"module '{mc.name}' overrides is_idle() and {why} but never "
-            "overrides next_event(): the time-leap scheduler revisits a "
-            "sleeping module only at its declared wake cycle, so a "
-            "time-driven sleeper without one oversleeps its own deadline — "
-            "declare the wake (sim::Module::next_event contract, "
-            "src/sim/kernel.hpp) or annotate next-event-ok(<reason>)",
+            f"module '{mc.name}' {why} but its next_event() can only return "
+            "kNever: the time-leap scheduler revisits a sleeping module only "
+            "at the cycle it names, so a time-driven module that never names "
+            "one oversleeps its own deadline — return the wake cycle "
+            "(sim::Module::next_event contract, src/sim/kernel.hpp) or "
+            "annotate next-event-ok(<reason>)",
         )
