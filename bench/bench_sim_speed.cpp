@@ -8,7 +8,11 @@
 //
 // The binary counts heap allocations (global operator new override below):
 // BM_FlitHop reports allocs_per_hop and *fails* if a flit hop at width
-// <= 128 allocates, pinning the BitVector small-buffer guarantee.
+// <= 128 allocates, pinning the BitVector small-buffer guarantee;
+// BM_SwitchFlit likewise fails if switch allocation and crossbar
+// traversal allocate. The whole-network rows report allocs_per_cycle
+// without failing on it (the NI/OCP transaction containers still
+// allocate).
 //
 // Usage:
 //   bench_sim_speed [--bench-json BENCH_foo.json] [google-benchmark flags]
@@ -17,6 +21,7 @@
 // (see README.md "Tracking performance").
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -25,10 +30,12 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/link/flow.hpp"
 #include "src/link/goback_n.hpp"
 #include "src/link/link.hpp"
 #include "src/noc/network.hpp"
+#include "src/switchlib/switch.hpp"
 #include "src/topology/generators.hpp"
 #include "src/traffic/traffic.hpp"
 
@@ -38,11 +45,12 @@
 // relaxed-atomic so it costs nothing measurable next to malloc itself.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
-// Set by BM_FlitHop when a hop at width <= 128 allocates; main() turns it
-// into a nonzero exit. Tracked here (not via the reporter's Run fields)
-// because the error/skip reporting API changed across google-benchmark
-// 1.7 -> 1.8 and this must build against both.
-bool g_flit_hop_alloc_failure = false;
+// Set by an allocation-free benchmark (BM_FlitHop, BM_SwitchFlit) that
+// saw an allocation; main() turns it into a nonzero exit. Tracked here
+// (not via the reporter's Run fields) because the error/skip reporting
+// API changed across google-benchmark 1.7 -> 1.8 and this must build
+// against both.
+bool g_alloc_failure = false;
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -122,12 +130,20 @@ void loaded_cycles(benchmark::State& state, double injection_rate,
   traffic::TrafficConfig tcfg;
   tcfg.injection_rate = injection_rate;
   traffic::TrafficDriver driver(net, tcfg);
+  const std::uint64_t allocs_before = allocs();
   for (auto _ : state) {
     driver.step();
     net.step();
   }
+  const std::uint64_t allocated = allocs() - allocs_before;
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(link::flow_control_name(flow));
+  // Report-only: the kernel, links and switches allocate nothing, but the
+  // per-transaction NI/OCP containers still do.
+  state.counters["allocs_per_cycle"] =
+      state.iterations() > 0 ? static_cast<double>(allocated) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
   std::uint64_t done = 0;
   for (std::size_t i = 0; i < net.num_initiators(); ++i) {
     done += net.master(i).completed().size();
@@ -587,7 +603,7 @@ void BM_FlitHop(benchmark::State& state) {
                 static_cast<double>(state.iterations())
           : 0.0;
   if (width <= 128 && allocated > 0) {
-    g_flit_hop_alloc_failure = true;
+    g_alloc_failure = true;
     state.SkipWithError("heap allocation on the flit hop path");
   }
 }
@@ -603,6 +619,101 @@ BENCHMARK(BM_FlitHop)
     ->Args({32, 1, 2})
     ->Args({32, 1, 4})
     ->Args({128, 1, 1});
+
+// One flit through one switch: switch allocation (per-output request
+// masks, arbiter grant), crossbar traversal and the output queue, with
+// nothing else simulated. The switch is the mesh's radix-5 (four
+// neighbours plus one NI) with two credit lanes per port; every input
+// sender is offered a flit each cycle it has credit and every output
+// receiver drains each cycle. Each input streams two-flit packets
+// (head, tail), alternating lanes per packet, to a fixed pseudo-random
+// sequence of outputs, so outputs see contention and wormhole locks.
+// allocs_per_flit must be exactly zero; the benchmark fails otherwise.
+void BM_SwitchFlit(benchmark::State& state) {
+  using namespace xpl;
+  constexpr std::size_t kRadix = 5;
+  constexpr std::size_t kVcs = 2;
+  constexpr std::size_t kPackets = 64;  // destination sequence per input
+  sim::Kernel kernel;
+  switchlib::SwitchConfig cfg;
+  cfg.num_inputs = kRadix;
+  cfg.num_outputs = kRadix;
+  cfg.flit_width = 32;
+  cfg.port_bits = 3;
+  cfg.route_bits = 24;
+  cfg.vcs = kVcs;
+  cfg.flow = link::FlowControl::kCredit;
+  cfg.protocol = link::ProtocolConfig::for_link(0);
+  cfg.protocol.vcs = kVcs;
+  std::vector<link::LinkWires> in_wires;
+  std::vector<link::LinkWires> out_wires;
+  std::vector<link::LinkSender> feeders;
+  std::vector<link::LinkReceiver> drains;
+  for (std::size_t p = 0; p < kRadix; ++p) {
+    in_wires.push_back(link::LinkWires::make(kernel));
+    out_wires.push_back(link::LinkWires::make(kernel));
+    feeders.emplace_back(cfg.flow, in_wires.back(), cfg.protocol);
+    drains.emplace_back(cfg.flow, out_wires.back(), cfg.protocol);
+  }
+  switchlib::Switch dut("dut", cfg, in_wires, out_wires);
+  kernel.add_module(dut);
+
+  // Head flits carry the output selector in the route field's low bits.
+  Rng rng(5);
+  std::vector<Flit> heads;
+  for (std::size_t k = 0; k < kRadix * kPackets; ++k) {
+    heads.emplace_back(BitVector(cfg.flit_width, rng.next_below(kRadix)),
+                       /*h=*/true, /*t=*/false);
+  }
+  const Flit tail(BitVector(cfg.flit_width, 0xC0DE), false, true);
+  std::array<std::size_t, kRadix> packet{};
+  std::array<std::uint8_t, kRadix> lane{};
+  std::array<bool, kRadix> mid_packet{};
+  const std::uint32_t take_all = (1u << kVcs) - 1;
+
+  std::uint64_t flits = 0;
+  const std::uint64_t allocs_before = allocs();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kRadix; ++i) {
+      link::LinkSender& tx = feeders[i];
+      tx.begin_cycle();
+      if (tx.can_accept(lane[i])) {
+        Flit flit = mid_packet[i] ? tail : heads[i * kPackets + packet[i]];
+        flit.vc = lane[i];
+        tx.accept(std::move(flit));
+        if (mid_packet[i]) {
+          packet[i] = (packet[i] + 1) % kPackets;
+          lane[i] = static_cast<std::uint8_t>((lane[i] + 1) % kVcs);
+        }
+        mid_packet[i] = !mid_packet[i];
+      }
+      tx.end_cycle();
+    }
+    kernel.step();  // the switch ticks; wires commit
+    for (link::LinkReceiver& rx : drains) {
+      if (auto flit = rx.begin_cycle(take_all)) {
+        benchmark::DoNotOptimize(flit->payload);
+        ++flits;
+      }
+      rx.end_cycle();
+    }
+  }
+  const std::uint64_t allocated = allocs() - allocs_before;
+  state.SetItemsProcessed(static_cast<std::int64_t>(flits));  // flits/s
+  state.SetLabel("radix5 vcs2 credit");
+  state.counters["flits_per_cycle"] =
+      state.iterations() > 0 ? static_cast<double>(flits) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+  state.counters["allocs_per_flit"] =
+      flits > 0 ? static_cast<double>(allocated) / static_cast<double>(flits)
+                : 0.0;
+  if (allocated > 0) {
+    g_alloc_failure = true;
+    state.SkipWithError("heap allocation on the switch flit path");
+  }
+}
+BENCHMARK(BM_SwitchFlit);
 
 // ------------------------------------------------------------ reporting
 // Console reporter that also captures finished runs so main() can emit
@@ -637,10 +748,14 @@ bool write_bench_json(const std::string& path,
     std::fprintf(out, "%s\n  {\"name\": \"%s\", \"items_per_s\": %.1f",
                  first ? "" : ",", run.benchmark_name().c_str(),
                  items_per_s);
-    const auto allocs_it = run.counters.find("allocs_per_hop");
-    if (allocs_it != run.counters.end()) {
-      std::fprintf(out, ", \"allocs_per_hop\": %.3f",
-                   static_cast<double>(allocs_it->second));
+    for (const char* key :
+         {"allocs_per_hop", "allocs_per_flit", "allocs_per_cycle"}) {
+      const auto allocs_it = run.counters.find(key);
+      if (allocs_it != run.counters.end() &&
+          std::isfinite(static_cast<double>(allocs_it->second))) {
+        std::fprintf(out, ", \"%s\": %.3f", key,
+                     static_cast<double>(allocs_it->second));
+      }
     }
     // The flow-control / routing comparisons: retransmission vs
     // credit-stall load behind the cycles/s numbers, and the saturated
@@ -700,11 +815,11 @@ int main(int argc, char** argv) {
   CaptureReporter capture;
   benchmark::RunSpecifiedBenchmarks(&capture);
 
-  bool failed = g_flit_hop_alloc_failure;
+  bool failed = g_alloc_failure;
   if (failed) {
     std::fprintf(stderr,
-                 "FAILED: BM_FlitHop: heap allocation on the flit hop "
-                 "path at width <= 128\n");
+                 "FAILED: heap allocation on an allocation-free path "
+                 "(BM_FlitHop at width <= 128 or BM_SwitchFlit)\n");
   }
   if (!bench_json.empty() && !write_bench_json(bench_json, capture.runs())) {
     failed = true;

@@ -23,6 +23,12 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
 
+/// Literal-message form: a passing check builds no std::string, so
+/// checks on the per-cycle paths cost no heap allocation.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw Error(msg);
+}
+
 namespace detail {
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,
                                      int line) {

@@ -5,11 +5,17 @@
 // logic) and round robin (fair). Arbiters are plain combinational-logic
 // models, unit-testable in isolation and mirrored gate-for-gate by the
 // synthesis estimator.
+//
+// Requests arrive as a bitmask, the form the hardware's request lines
+// take: requester r is bit r % 64 of word r / 64, and the mask spans
+// request_words(num_inputs) words. Bits at or above num_inputs must be
+// clear. A grant visits one word at a time with a count-trailing-zeros
+// step, so its cost does not grow with the requesters left idle.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 namespace xpl::switchlib {
 
@@ -17,14 +23,22 @@ enum class ArbiterKind : std::uint8_t { kFixedPriority, kRoundRobin };
 
 const char* arbiter_name(ArbiterKind kind);
 
+/// Words in a request mask over `num_inputs` requesters.
+constexpr std::size_t request_words(std::size_t num_inputs) {
+  return (num_inputs + 63) / 64;
+}
+
+/// Read-only view of a request mask (see file comment).
+using RequestMask = std::span<const std::uint64_t>;
+
 /// Grants the lowest-indexed requester.
 class FixedPriorityArbiter {
  public:
   explicit FixedPriorityArbiter(std::size_t num_inputs)
       : num_inputs_(num_inputs) {}
 
-  /// Returns the granted input, or nullopt if `requests` is all false.
-  std::optional<std::size_t> grant(const std::vector<bool>& requests);
+  /// Returns the granted input, or nullopt if no bit of `requests` is set.
+  std::optional<std::size_t> grant(RequestMask requests);
 
   std::size_t num_inputs() const { return num_inputs_; }
 
@@ -39,7 +53,9 @@ class RoundRobinArbiter {
   explicit RoundRobinArbiter(std::size_t num_inputs)
       : num_inputs_(num_inputs) {}
 
-  std::optional<std::size_t> grant(const std::vector<bool>& requests);
+  /// Returns the granted input, or nullopt (pointer unchanged) if no bit
+  /// of `requests` is set.
+  std::optional<std::size_t> grant(RequestMask requests);
 
   /// Pointer state (the synthesis model charges log2(n) flops for it).
   std::size_t pointer() const { return pointer_; }
@@ -57,7 +73,7 @@ class Arbiter {
   Arbiter(ArbiterKind kind, std::size_t num_inputs)
       : kind_(kind), fixed_(num_inputs), rr_(num_inputs) {}
 
-  std::optional<std::size_t> grant(const std::vector<bool>& requests) {
+  std::optional<std::size_t> grant(RequestMask requests) {
     return kind_ == ArbiterKind::kFixedPriority ? fixed_.grant(requests)
                                                 : rr_.grant(requests);
   }

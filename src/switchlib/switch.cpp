@@ -1,6 +1,7 @@
 #include "src/switchlib/switch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -91,15 +92,12 @@ Switch::Switch(std::string name, const SwitchConfig& config,
     outputs_.push_back(std::move(port));
   }
   packets_out_.assign(config.num_outputs, 0);
-  req_cache_.assign(config.num_inputs * config_.vcs, kNoPort);
-  req_cache_valid_.assign(config.num_inputs * config_.vcs, false);
-  req_scratch_.assign(config.num_inputs * config_.vcs, false);
+  mask_words_ = request_words(config.num_inputs * config_.vcs);
+  requests_.assign(config.num_outputs * mask_words_, 0);
+  eligible_.assign(mask_words_, 0);
 }
 
-std::optional<std::size_t> Switch::requested_output(
-    const InLane& lane) const {
-  if (lane.fifo.empty()) return std::nullopt;
-  if (lane.locked_output != kNoPort) return lane.locked_output;
+std::size_t Switch::requested_output(const InLane& lane) const {
   const Flit& flit = lane.fifo.front();
   XPL_ASSERT(flit.head);  // unlocked lane must present a head flit
   const std::size_t port = peek_route_port(flit.payload, config_.port_bits);
@@ -186,21 +184,20 @@ void Switch::tick(sim::Kernel& kernel) {
   }
 
   // Stage 2: VC allocation + switch allocation + crossbar traversal. Each
-  // input lane's requested output is derived from its head flit at most
-  // once per cycle (the memo invalidates when the head flit changes); the
-  // arbiter request vector is a reused member, so this stage allocates
-  // nothing. One flit traverses the crossbar per output per cycle.
-  bool any_switched = false;
-  std::fill(req_cache_valid_.begin(), req_cache_valid_.end(), false);
-  const auto request_of = [this, vcs](std::size_t i, std::size_t v) {
-    const std::size_t idx = i * vcs + v;
-    if (!req_cache_valid_[idx]) {
-      const auto req = requested_output(inputs_[i].lanes[v]);
-      req_cache_[idx] = req.has_value() ? *req : kNoPort;
-      req_cache_valid_[idx] = true;
+  // unlocked input lane's head flit posts one request bit to the output
+  // it is routed to; each output then tests only its own requesters for
+  // a free output lane with space and grants among the survivors. The
+  // masks are reused members, so this stage allocates nothing. One flit
+  // traverses the crossbar per output per cycle.
+  std::fill(requests_.begin(), requests_.end(), std::uint64_t{0});
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    for (std::size_t v = 0; v < vcs; ++v) {
+      const InLane& lane = inputs_[i].lanes[v];
+      if (lane.fifo.empty() || lane.locked_output != kNoPort) continue;
+      add_request(requested_output(lane), i * vcs + v);
     }
-    return req_cache_[idx];
-  };
+  }
+  bool any_switched = false;
   for (std::size_t o = 0; o < outputs_.size(); ++o) {
     OutputPort& out = outputs_[o];
 
@@ -229,28 +226,28 @@ void Switch::tick(sim::Kernel& kernel) {
     }
 
     if (win_in == kNoPort) {
-      // New wormholes: arbitrate over unlocked input lanes whose head
-      // flit requests this output and whose allocated output lane is
-      // free with space.
+      // New wormholes: arbitrate over this output's requesters whose
+      // allocated output lane is free with space.
+      const std::uint64_t* requests = &requests_[o * mask_words_];
       bool any = false;
-      for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        for (std::size_t v = 0; v < vcs; ++v) {
-          bool wants = false;
-          if (inputs_[i].lanes[v].locked_output == kNoPort &&
-              request_of(i, v) == o) {
-            const std::uint8_t w =
-                out_vc(i, static_cast<std::uint8_t>(v), o);
-            const OutLane& ol = out.lanes[w];
-            wants = ol.locked_input == kNoPort &&
-                    ol.fifo.size() + ol.pipe.size() <
-                        config_.output_fifo_depth;
+      for (std::size_t word = 0; word < mask_words_; ++word) {
+        std::uint64_t eligible = 0;
+        for (std::uint64_t bits = requests[word]; bits != 0;
+             bits &= bits - 1) {
+          const int b = std::countr_zero(bits);
+          const std::size_t r = word * 64 + static_cast<std::size_t>(b);
+          const OutLane& ol = out.lanes[out_vc(
+              r / vcs, static_cast<std::uint8_t>(r % vcs), o)];
+          if (ol.locked_input == kNoPort &&
+              ol.fifo.size() + ol.pipe.size() < config_.output_fifo_depth) {
+            eligible |= std::uint64_t{1} << b;
           }
-          req_scratch_[i * vcs + v] = wants;
-          any = any || wants;
         }
+        eligible_[word] = eligible;
+        any = any || eligible != 0;
       }
       if (any) {
-        const auto grant = out.arbiter.grant(req_scratch_);
+        const auto grant = out.arbiter.grant(eligible_);
         XPL_ASSERT(grant.has_value());
         win_in = *grant / vcs;
         win_iv = static_cast<std::uint8_t>(*grant % vcs);
@@ -286,9 +283,12 @@ void Switch::tick(sim::Kernel& kernel) {
     } else {
       ol.fifo.push_back(std::move(flit));
     }
-    // The input lane's head flit changed (and possibly its lock state):
-    // recompute its request if a later output looks at it this cycle.
-    req_cache_valid_[win_in * vcs + win_iv] = false;
+    // A tail released the input lane: its next head flit requests now,
+    // reaching this cycle only outputs not yet allocated.
+    if (il.locked_output == kNoPort && !il.fifo.empty()) {
+      const std::size_t next = requested_output(il);
+      if (next > o) add_request(next, win_in * vcs + win_iv);
+    }
     ++flits_switched_;
     any_switched = true;
   }

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/ring.hpp"
@@ -177,9 +176,14 @@ class Switch : public sim::Module {
         : arbiter(kind, requests) {}
   };
 
-  /// Output requested by the flit at the head of input lane (i, vc), if
-  /// any (only meaningful for unlocked lanes, whose front is a head flit).
-  std::optional<std::size_t> requested_output(const InLane& lane) const;
+  /// Output requested by the head flit at the front of an unlocked,
+  /// non-empty input lane.
+  std::size_t requested_output(const InLane& lane) const;
+
+  /// Sets requester bit `r` (= input * vcs + lane) in output `o`'s mask.
+  void add_request(std::size_t o, std::size_t r) {
+    requests_[o * mask_words_ + r / 64] |= std::uint64_t{1} << (r % 64);
+  }
 
   /// Lane a flit on input lane (in_port, in_vc) takes at output
   /// `out_port` — the VC-allocation rule (see file comment).
@@ -190,14 +194,15 @@ class Switch : public sim::Module {
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
 
-  /// Per-cycle memo of each input lane's requested output (kNoPort =
-  /// none), invalidated when the lane's head flit changes mid-cycle, plus
-  /// the arbiter request scratch — both hoisted out of tick() so
-  /// arbitration does no per-cycle allocation and reads each head flit's
-  /// route once. Indexed input * vcs + lane.
-  std::vector<std::size_t> req_cache_;
-  std::vector<bool> req_cache_valid_;
-  std::vector<bool> req_scratch_;
+  /// Switch-allocation request masks (arbiter.hpp layout), mask_words_
+  /// words per output, rebuilt each cycle: bit input * vcs + lane of
+  /// output o's mask is set while that unlocked input lane presents a
+  /// head flit routed to o. `eligible_` is one output's scratch: the
+  /// requesters whose output lane is free with space. Members, so
+  /// arbitration allocates nothing.
+  std::size_t mask_words_ = 0;
+  std::vector<std::uint64_t> requests_;
+  std::vector<std::uint64_t> eligible_;
 
   std::uint64_t flits_switched_ = 0;
   std::uint64_t active_cycles_ = 0;

@@ -8,17 +8,23 @@
 // kernel schedulers are pinned: the default runs exercise the event-driven
 // time-leap scheduler (`scheduler gated`, the default spelling, is its
 // legacy name), and the scheduler-invariance tests re-run the artifacts
-// under `scheduler full` against the same bytes.
+// under `scheduler full` against the same bytes. switch_alloc.txt (the
+// SwitchGolden matrix) pins switch allocation across the allocator
+// configurations; it predates the request-bitmask switch allocator.
 //
 // Regenerating (only when an intentional behaviour change is reviewed):
 //   XPL_UPDATE_GOLDEN=1 ./golden_test
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "src/compiler/compiler.hpp"
+#include "src/compiler/spec_io.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/checkpoint.hpp"
 #include "src/sweep/runner.hpp"
@@ -303,6 +309,141 @@ TEST(Golden, RecordedTraceIsPartitionInvariant) {
 
   ASSERT_GT(recorder.recorded(), 0u);
   expect_golden("run.trace", workload::write_trace(recorder.trace()));
+}
+
+/// Switch-allocation equivalence: one saturated network per allocator
+/// shape, run for a fixed span, summarized as the kernel digest (every
+/// wire value) plus each switch's flits_switched and per-output packet
+/// grants, so any change in which request an output grants shows up.
+/// The matrix covers lanes 1..8, both arbiter policies, extra pipeline
+/// stages, the dateline lane rule on a torus, a concentrated mesh, and
+/// a custom hub switch with 88 (input, lane) requesters — more than one
+/// 64-bit request-mask word.
+struct SwitchCase {
+  const char* name;
+  const char* topology;  // "mesh", "torus", "cmesh" or "hub"
+  std::size_t vcs;
+  switchlib::ArbiterKind arbiter;
+  link::FlowControl flow;
+  std::size_t extra_pipeline;
+};
+
+/// A hub switch with nine leaves; every switch hosts one initiator and
+/// one target, so the hub has 9 link + 2 NI inputs.
+std::string hub_spec(const SwitchCase& c) {
+  std::string spec = "noc hub\nflit_width 32\nrouting updown\n";
+  spec += c.arbiter == switchlib::ArbiterKind::kFixedPriority
+              ? "arbiter fixed\n"
+              : "arbiter rr\n";
+  spec += c.flow == link::FlowControl::kCredit ? "flow credit\n"
+                                                : "flow ack_nack\n";
+  spec += "vcs " + std::to_string(c.vcs) + "\nswitch hub\n";
+  for (int l = 0; l < 9; ++l) {
+    const std::string leaf = "leaf" + std::to_string(l);
+    spec += "switch " + leaf + "\n";
+    spec += "link hub " + leaf + "\n";
+    spec += "link " + leaf + " hub\n";
+  }
+  for (const char* sw : {"hub", "leaf0", "leaf1", "leaf2", "leaf3", "leaf4",
+                         "leaf5", "leaf6", "leaf7", "leaf8"}) {
+    spec += std::string("initiator i_") + sw + " at " + sw + "\n";
+    spec += std::string("target t_") + sw + " at " + sw + "\n";
+  }
+  return spec;
+}
+
+std::unique_ptr<noc::Network> build_switch_case(const SwitchCase& c) {
+  const std::string topo = c.topology;
+  if (topo == "hub") {
+    compiler::NocSpec spec = compiler::parse_spec(hub_spec(c));
+    spec.net.extra_switch_pipeline = c.extra_pipeline;
+    return compiler::XpipesCompiler().build_simulation(spec);
+  }
+  noc::NetworkConfig cfg;
+  cfg.target_window = 1 << 12;
+  cfg.vcs = c.vcs;
+  cfg.arbiter = c.arbiter;
+  cfg.flow = c.flow;
+  cfg.extra_switch_pipeline = c.extra_pipeline;
+  if (topo == "torus") {
+    cfg.routing = topology::RoutingAlgorithm::kShortestPath;
+    return std::make_unique<noc::Network>(
+        topology::make_torus(4, 4, topology::NiPlan::uniform(16, 1, 1)),
+        cfg);
+  }
+  cfg.routing = topology::RoutingAlgorithm::kXY;
+  if (topo == "cmesh") {
+    return std::make_unique<noc::Network>(topology::make_cmesh(3, 3, 4),
+                                          cfg);
+  }
+  return std::make_unique<noc::Network>(
+      topology::make_mesh(4, 4, topology::NiPlan::uniform(16, 1, 1)), cfg);
+}
+
+std::string switch_case_summary(const SwitchCase& c, std::size_t cycles) {
+  auto net = build_switch_case(c);
+  traffic::TrafficConfig tcfg;
+  tcfg.injection_rate = 0.3;
+  tcfg.seed = 11;
+  traffic::TrafficDriver driver(*net, tcfg);
+  driver.run(cycles);
+  std::ostringstream os;
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(net->kernel().digest()));
+  os << "case " << c.name << " cycles " << cycles << " digest " << digest
+     << "\n";
+  for (std::size_t s = 0; s < net->num_switches(); ++s) {
+    const switchlib::Switch& sw = net->switch_at(s);
+    os << "  sw" << s << " flits " << sw.flits_switched() << " packets";
+    for (const std::uint64_t p : sw.packets_per_output()) os << " " << p;
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(SwitchGolden, AllocationMatrixIsByteStable) {
+  using switchlib::ArbiterKind;
+  using link::FlowControl;
+  const SwitchCase cases[] = {
+      {"mesh_vc1_rr_credit", "mesh", 1, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"mesh_vc1_fixed_acknack", "mesh", 1, ArbiterKind::kFixedPriority,
+       FlowControl::kAckNack, 0},
+      {"mesh_vc2_rr_credit", "mesh", 2, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"mesh_vc2_fixed_credit", "mesh", 2, ArbiterKind::kFixedPriority,
+       FlowControl::kCredit, 0},
+      {"mesh_vc4_rr_acknack", "mesh", 4, ArbiterKind::kRoundRobin,
+       FlowControl::kAckNack, 0},
+      {"mesh_vc4_fixed_credit", "mesh", 4, ArbiterKind::kFixedPriority,
+       FlowControl::kCredit, 0},
+      {"mesh_vc8_rr_credit", "mesh", 8, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"mesh_vc8_fixed_acknack", "mesh", 8, ArbiterKind::kFixedPriority,
+       FlowControl::kAckNack, 0},
+      {"mesh_vc1_rr_pipe3", "mesh", 1, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 3},
+      {"mesh_vc2_fixed_pipe2", "mesh", 2, ArbiterKind::kFixedPriority,
+       FlowControl::kAckNack, 2},
+      {"torus_vc2_dateline_rr", "torus", 2, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"torus_vc4_dateline_fixed", "torus", 4, ArbiterKind::kFixedPriority,
+       FlowControl::kAckNack, 0},
+      {"cmesh_c4_vc2_rr", "cmesh", 2, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"cmesh_c4_vc1_fixed", "cmesh", 1, ArbiterKind::kFixedPriority,
+       FlowControl::kCredit, 0},
+      {"hub_vc8_rr_credit", "hub", 8, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 0},
+      {"hub_vc8_fixed_acknack", "hub", 8, ArbiterKind::kFixedPriority,
+       FlowControl::kAckNack, 0},
+      {"hub_vc8_rr_pipe1", "hub", 8, ArbiterKind::kRoundRobin,
+       FlowControl::kCredit, 1},
+  };
+  std::string bytes;
+  for (const SwitchCase& c : cases) bytes += switch_case_summary(c, 1500);
+  expect_golden("switch_alloc.txt", bytes);
 }
 
 }  // namespace

@@ -54,7 +54,9 @@ TEST(LintRegress, EqualTrafficCoresPlaceInIndexOrder) {
   appgraph::CoreGraph graph("ties");
   const std::size_t cores = 20;
   for (std::size_t c = 0; c < cores; ++c) {
-    graph.add_core("c" + std::to_string(c));
+    std::string name = "c";
+    name += std::to_string(c);
+    graph.add_core(name);
   }
   const auto topo =
       topology::make_ring(cores, topology::NiPlan::uniform(cores, 1, 1));
@@ -75,7 +77,9 @@ TEST(LintRegress, EqualBandwidthPipelineMapsDeterministically) {
   appgraph::CoreGraph graph("pipe");
   const std::uint32_t cores = 20;
   for (std::uint32_t c = 0; c < cores; ++c) {
-    graph.add_core("c" + std::to_string(c));
+    std::string name = "c";
+    name += std::to_string(c);
+    graph.add_core(name);
   }
   for (std::uint32_t c = 0; c + 1 < cores; ++c) {
     graph.add_flow(c, c + 1, 1.0);
