@@ -6,6 +6,10 @@
 // ACK) — so users can size experiments and PRs can track the perf
 // trajectory.
 //
+// BM_Elaborate times the setup rung: one build_simulation (routing
+// tables, deadlock check, module and wire elaboration) per iteration,
+// reporting elab_s and allocs_per_elab without failing on either.
+//
 // The binary counts heap allocations (global operator new override below):
 // BM_FlitHop reports allocs_per_hop and *fails* if a flit hop at width
 // <= 128 allocates, pinning the BitVector small-buffer guarantee;
@@ -23,6 +27,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +36,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/compiler/compiler.hpp"
 #include "src/link/flow.hpp"
 #include "src/link/goback_n.hpp"
 #include "src/link/link.hpp"
@@ -487,6 +493,51 @@ BENCHMARK(BM_PartitionedCyclesMT)
     ->Args({2, 4, 4, 0})
     ->Args({2, 4, 4, 1});
 
+// Elaboration (the setup rung): one XpipesCompiler::build_simulation per
+// iteration — routing tables, deadlock check, wires, modules and LUTs —
+// on the partitioned-bench shapes, unpartitioned. Report-only: elab_s is
+// seconds per elaboration, allocs_per_elab its heap allocations.
+void BM_Elaborate(benchmark::State& state) {
+  using namespace xpl;
+  const auto shape = state.range(0);  // 0: mesh8, 1: mesh16, 2: cmesh8x8c4
+  const std::size_t side = shape == 1 ? 16 : 8;
+  compiler::NocSpec spec;
+  spec.net = config(side);
+  if (side == 16) spec.net.flit_width = 128;  // see BM_PartitionedCycles
+  spec.topo = shape == 2 ? topology::make_cmesh(8, 8, 4)
+                         : topology::make_mesh(
+                               side, side,
+                               topology::NiPlan::uniform(side * side, 1, 1));
+  const compiler::XpipesCompiler xpipes;
+  double seconds = 0.0;
+  std::uint64_t allocated = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = allocs();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto net = xpipes.build_simulation(spec);
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    allocated += allocs() - allocs_before;
+    benchmark::DoNotOptimize(net.get());
+    state.PauseTiming();
+    net.reset();  // teardown is not elaboration
+    state.ResumeTiming();
+  }
+  const auto n = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());  // elaborations/s
+  state.SetLabel(shape == 2 ? "cmesh8x8c4" : (shape == 1 ? "mesh16" : "mesh8"));
+  state.counters["elab_s"] = n > 0 ? seconds / n : 0.0;
+  state.counters["allocs_per_elab"] =
+      n > 0 ? static_cast<double>(allocated) / n : 0.0;
+}
+BENCHMARK(BM_Elaborate)
+    ->ArgNames({"shape"})
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2);
+
 // The dateline payoff: saturated transaction throughput on a 4x4 torus,
 // minimal (shortest-path) routing with dateline VCs against the up*/down*
 // single-lane baseline the seed had to fall back to. Minimal routes use
@@ -748,8 +799,8 @@ bool write_bench_json(const std::string& path,
     std::fprintf(out, "%s\n  {\"name\": \"%s\", \"items_per_s\": %.1f",
                  first ? "" : ",", run.benchmark_name().c_str(),
                  items_per_s);
-    for (const char* key :
-         {"allocs_per_hop", "allocs_per_flit", "allocs_per_cycle"}) {
+    for (const char* key : {"allocs_per_hop", "allocs_per_flit",
+                            "allocs_per_cycle", "allocs_per_elab"}) {
       const auto allocs_it = run.counters.find(key);
       if (allocs_it != run.counters.end() &&
           std::isfinite(static_cast<double>(allocs_it->second))) {
@@ -781,6 +832,13 @@ bool write_bench_json(const std::string& path,
         std::fprintf(out, ", \"%s\": %.3f", key,
                      static_cast<double>(it3->second));
       }
+    }
+    // Seconds per elaboration: microsecond resolution.
+    const auto elab = run.counters.find("elab_s");
+    if (elab != run.counters.end() &&
+        std::isfinite(static_cast<double>(elab->second))) {
+      std::fprintf(out, ", \"elab_s\": %.6f",
+                   static_cast<double>(elab->second));
     }
     std::fprintf(out, "}");
     first = false;

@@ -59,9 +59,9 @@ int main() {
     spec.net.routing = topology::RoutingAlgorithm::kXY;
     spec.net.target_window = 1 << 12;
     compiler::XpipesCompiler xpipes;
-    const auto report = xpipes.estimate(spec, 800.0);
-
     auto net = xpipes.build_simulation(spec);
+    const auto report = xpipes.estimate(*net, 800.0);
+
     traffic::TrafficConfig tcfg;
     tcfg.pattern = traffic::Pattern::kWeighted;
     tcfg.weights = mapped.weights;

@@ -50,14 +50,16 @@ int main() {
   spec.net.target_window = 1 << 12;
   compiler::XpipesCompiler xpipes;
 
-  const auto report = xpipes.estimate(spec, 900.0);
+  // One elaboration: the synthesis estimate reads the network that is
+  // simulated below.
+  auto net = xpipes.build_simulation(spec);
+  const auto report = xpipes.estimate(*net, 900.0);
   std::printf("\nsilicon @900MHz: %.2f mm2, %.0f mW, clock ceiling %.0f "
               "MHz, %zu instances\n",
               report.total_area_mm2, report.total_power_mw,
               report.min_fmax_mhz, report.instances.size());
 
   // ---- Simulate the application's traffic profile.
-  auto net = xpipes.build_simulation(spec);
   traffic::TrafficConfig tcfg;
   tcfg.pattern = traffic::Pattern::kWeighted;
   tcfg.weights = mapped.weights;

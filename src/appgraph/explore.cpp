@@ -54,13 +54,14 @@ std::vector<ExplorationResult> explore(
     result.name = candidate.name;
     result.mapping_cost = mapping_cost(graph, dist, mapping);
 
-    const auto report = xpipes.estimate(spec, options.target_mhz);
+    // One elaboration serves both the synthesis estimate and the short
+    // weighted-traffic simulation for latency/throughput.
+    auto network = xpipes.build_simulation(spec);
+    const auto report = xpipes.estimate(*network, options.target_mhz);
     result.area_mm2 = report.total_area_mm2;
     result.power_mw = report.total_power_mw;
     result.fmax_mhz = report.min_fmax_mhz;
 
-    // Short weighted-traffic simulation for latency/throughput.
-    auto network = xpipes.build_simulation(spec);
     traffic::TrafficConfig tcfg;
     tcfg.pattern = traffic::Pattern::kWeighted;
     tcfg.weights = mapped.weights;

@@ -23,11 +23,15 @@ std::unique_ptr<noc::Network> XpipesCompiler::build_simulation(
 SynthesisReport XpipesCompiler::estimate(const NocSpec& spec,
                                          double target_mhz,
                                          double activity) const {
-  // Build the simulation view to reuse its per-instance parameter
-  // derivation — both views must agree on every width and depth, exactly
-  // the property the paper's compiler guarantees.
-  const auto network = build_simulation(spec);
+  return estimate(*build_simulation(spec), target_mhz, activity);
+}
 
+SynthesisReport XpipesCompiler::estimate(const noc::Network& network,
+                                         double target_mhz,
+                                         double activity) const {
+  // The simulation view's per-instance parameter derivation is reused —
+  // both views must agree on every width and depth, exactly the property
+  // the paper's compiler guarantees.
   SynthesisReport report;
   report.min_fmax_mhz = std::numeric_limits<double>::infinity();
 
@@ -46,24 +50,24 @@ SynthesisReport XpipesCompiler::estimate(const NocSpec& spec,
     report.instances.push_back(std::move(inst));
   };
 
-  for (std::size_t s = 0; s < network->num_switches(); ++s) {
-    const auto& config = network->switch_at(s).config();
+  for (std::size_t s = 0; s < network.num_switches(); ++s) {
+    const auto& config = network.switch_at(s).config();
     std::ostringstream kind;
     kind << "switch " << config.num_inputs << "x" << config.num_outputs;
-    add(network->switch_at(s).name(), kind.str(),
+    add(network.switch_at(s).name(), kind.str(),
         synth::build_switch_netlist(config),
         synth::switch_logic_levels(config));
   }
-  for (std::size_t i = 0; i < network->num_initiators(); ++i) {
-    const auto& config = network->initiator_ni(i).config();
-    add(network->initiator_ni(i).name(), "initiator NI",
-        synth::build_initiator_ni_netlist(config, network->num_targets()),
+  for (std::size_t i = 0; i < network.num_initiators(); ++i) {
+    const auto& config = network.initiator_ni(i).config();
+    add(network.initiator_ni(i).name(), "initiator NI",
+        synth::build_initiator_ni_netlist(config, network.num_targets()),
         synth::initiator_ni_logic_levels(config));
   }
-  for (std::size_t t = 0; t < network->num_targets(); ++t) {
-    const auto& config = network->target_ni(t).config();
-    add(network->target_ni(t).name(), "target NI",
-        synth::build_target_ni_netlist(config, network->num_initiators()),
+  for (std::size_t t = 0; t < network.num_targets(); ++t) {
+    const auto& config = network.target_ni(t).config();
+    add(network.target_ni(t).name(), "target NI",
+        synth::build_target_ni_netlist(config, network.num_initiators()),
         synth::target_ni_logic_levels(config));
   }
   return report;

@@ -63,8 +63,16 @@ class XpipesCompiler {
   std::unique_ptr<noc::Network> build_simulation(const NocSpec& spec) const;
 
   /// Synthesis model over every instance, each synthesized at
-  /// `target_mhz`.
+  /// `target_mhz`. Builds the simulation view, then estimates it.
   SynthesisReport estimate(const NocSpec& spec, double target_mhz,
+                           double activity = 0.15) const;
+
+  /// Same report from an already elaborated network. Reads only the
+  /// per-instance configs fixed at construction, so the result does not
+  /// depend on whether (or how long) the network has been simulated — a
+  /// sweep point estimates the network it just ran instead of
+  /// elaborating it a second time.
+  SynthesisReport estimate(const noc::Network& network, double target_mhz,
                            double activity = 0.15) const;
 
   /// Synthesis view: generated SystemC, filename -> content. One class

@@ -114,11 +114,22 @@ class Network {
   ni::InitiatorNi& initiator_ni(std::size_t i) {
     return *initiator_nis_.at(i);
   }
+  const ni::InitiatorNi& initiator_ni(std::size_t i) const {
+    return *initiator_nis_.at(i);
+  }
   /// Indexed by position among targets.
   ocp::SlaveCore& slave(std::size_t i) { return *slaves_.at(i); }
   ni::TargetNi& target_ni(std::size_t i) { return *target_nis_.at(i); }
+  const ni::TargetNi& target_ni(std::size_t i) const {
+    return *target_nis_.at(i);
+  }
 
   switchlib::Switch& switch_at(std::size_t s) { return *switches_.at(s); }
+  /// Read-only views: the synthesis estimate reads the per-instance
+  /// configs (fixed at construction) and names through these.
+  const switchlib::Switch& switch_at(std::size_t s) const {
+    return *switches_.at(s);
+  }
   /// Uncut link modules only (every link when partitions == 1). Legacy
   /// accessor: statistics must use link_stats(), which also covers the
   /// links replaced by partition cuts.

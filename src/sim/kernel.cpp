@@ -7,10 +7,6 @@
 
 namespace xpl::sim {
 
-namespace detail {
-thread_local const std::uint64_t* g_cycle_override = nullptr;
-}  // namespace detail
-
 namespace {
 
 /// Condition for run() and step(): stop only at the cycle bound.

@@ -82,7 +82,10 @@ namespace detail {
 /// Kernel::cycle() must answer with the ticking partition's time — not
 /// the global counter, which only moves at epoch barriers. Null outside
 /// partitioned execution (the common case: one predictable branch).
-extern thread_local const std::uint64_t* g_cycle_override;
+/// Defined inline with a constant initializer. Declared `extern` with an
+/// out-of-line definition, GCC 12 ASan+UBSan builds reported a null
+/// pointer load on every read in Kernel::cycle().
+inline thread_local const std::uint64_t* g_cycle_override = nullptr;
 }  // namespace detail
 
 /// A deterministic cross-partition conduit (e.g. link::CutLink). The

@@ -58,9 +58,9 @@ DeadlockReport check_deadlock(const Topology& topo,
       std::int64_t prev_channel = -1;
       std::size_t hop_link = 0;
       for (const std::uint8_t selector : route) {
-        const auto ports = topo.output_ports(cur);
-        require(selector < ports.size(), "check_deadlock: bad selector");
-        const PortRef& ref = ports[selector];
+        require(selector < topo.num_outputs(cur),
+                "check_deadlock: bad selector");
+        const PortRef ref = topo.output_port(cur, selector);
         if (ref.kind == PortRef::Kind::kNi) break;  // ejection channel
         const std::uint8_t vc =
             policy.dateline ? lanes.at(hop_link)

@@ -19,30 +19,18 @@ const char* routing_name(RoutingAlgorithm algorithm) {
 
 namespace {
 
-// Outgoing link ids per switch, in link-insertion order — the same order
-// the old whole-link-table scans explored, so every path below is
-// byte-identical to what the unindexed code produced. Built once per
-// compute_route / compute_all_routes call instead of rescanning all L
-// links for every visited switch (which made each route O(S*L) and
-// compute_all_routes worse than quadratic on large meshes). The sorted
-// distinct vc_class table rides along for the same reason: class-
-// monotone BFS needs it per path, not per all-pairs table.
-struct Adjacency {
-  std::vector<std::vector<std::uint32_t>> out;  ///< link ids per switch
-  std::vector<std::uint8_t> classes;            ///< sorted distinct classes
-};
-
-Adjacency build_adjacency(const Topology& topo) {
-  Adjacency adj;
-  adj.out.resize(topo.num_switches());
+// Sorted distinct vc_class table: class-monotone BFS needs it per path,
+// so compute_all_routes builds it once for the whole all-pairs table.
+// Paths explore each switch's outgoing links through the topology's port
+// index (Topology::out_links), in link-insertion order.
+std::vector<std::uint8_t> link_classes(const Topology& topo) {
+  std::vector<std::uint8_t> classes;
   for (std::uint32_t l = 0; l < topo.num_links(); ++l) {
-    adj.out[topo.link(l).from].push_back(l);
-    adj.classes.push_back(topo.link(l).vc_class);
+    classes.push_back(topo.link(l).vc_class);
   }
-  std::sort(adj.classes.begin(), adj.classes.end());
-  adj.classes.erase(std::unique(adj.classes.begin(), adj.classes.end()),
-                    adj.classes.end());
-  return adj;
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  return classes;
 }
 
 // BFS over switches; returns the link ids of a shortest path from_sw ->
@@ -60,7 +48,7 @@ Adjacency build_adjacency(const Topology& topo) {
 // displace independently, and a spidergon cross hop commutes with ring
 // hops.
 std::vector<std::uint32_t> bfs_path(const Topology& topo,
-                                    const Adjacency& adj,
+                                    const std::vector<std::uint8_t>& classes,
                                     std::uint32_t from_sw,
                                     std::uint32_t to_sw) {
   const std::size_t n = topo.num_switches();
@@ -68,7 +56,6 @@ std::vector<std::uint32_t> bfs_path(const Topology& topo,
   // Phase = index of the last-taken link's class in the precomputed
   // distinct-class table. One class (the common case) keeps the state
   // space at n.
-  const std::vector<std::uint8_t>& classes = adj.classes;
   const std::size_t phases = std::max<std::size_t>(classes.size(), 1);
   auto phase_of = [&](std::uint8_t cls) {
     return static_cast<std::size_t>(
@@ -92,7 +79,7 @@ std::vector<std::uint32_t> bfs_path(const Topology& topo,
       final_state = static_cast<std::int64_t>(idx(s, phase));
       break;
     }
-    for (const std::uint32_t l : adj.out[s]) {
+    for (const std::uint32_t l : topo.out_links(s)) {
       const Link& link = topo.link(l);
       const std::size_t link_phase = phase_of(link.vc_class);
       if (link_phase < phase) continue;  // class order is non-decreasing
@@ -121,7 +108,6 @@ std::vector<std::uint32_t> bfs_path(const Topology& topo,
 // Dimension-order: full X displacement, then Y. Requires coordinates and
 // a grid link in the needed direction at every step.
 std::vector<std::uint32_t> xy_path(const Topology& topo,
-                                   const Adjacency& adj,
                                    std::uint32_t from_sw,
                                    std::uint32_t to_sw) {
   std::vector<std::uint32_t> path;
@@ -134,7 +120,7 @@ std::vector<std::uint32_t> xy_path(const Topology& topo,
     const int want = x_dim ? (goal.x > here.x ? 1 : goal.x < here.x ? -1 : 0)
                            : (goal.y > here.y ? 1 : goal.y < here.y ? -1 : 0);
     if (want == 0) return false;
-    for (const std::uint32_t l : adj.out[cur]) {
+    for (const std::uint32_t l : topo.out_links(cur)) {
       const Link& link = topo.link(l);
       const SwitchNode& next = topo.switch_node(link.to);
       const int dx = next.x - here.x;
@@ -167,7 +153,6 @@ std::vector<std::uint32_t> xy_path(const Topology& topo,
 // topology. BFS over (switch, phase) states finds the shortest legal
 // path.
 std::vector<std::uint32_t> updown_path(const Topology& topo,
-                                       const Adjacency& adj,
                                        std::uint32_t from_sw,
                                        std::uint32_t to_sw) {
   const std::size_t n = topo.num_switches();
@@ -178,7 +163,7 @@ std::vector<std::uint32_t> updown_path(const Topology& topo,
     while (!queue.empty()) {
       const std::uint32_t s = queue.front();
       queue.pop_front();
-      for (const std::uint32_t l : adj.out[s]) {
+      for (const std::uint32_t l : topo.out_links(s)) {
         const Link& link = topo.link(l);
         if (level[link.to] == static_cast<std::size_t>(-1)) {
           level[link.to] = level[s] + 1;
@@ -209,7 +194,7 @@ std::vector<std::uint32_t> updown_path(const Topology& topo,
       final_state = static_cast<std::int64_t>(idx(s, phase));
       break;
     }
-    for (const std::uint32_t l : adj.out[s]) {
+    for (const std::uint32_t l : topo.out_links(s)) {
       const Link& link = topo.link(l);
       const bool up = is_up(link);
       if (phase == 1 && up) continue;  // no up after down
@@ -234,9 +219,10 @@ std::vector<std::uint32_t> updown_path(const Topology& topo,
   return path;
 }
 
-// compute_route with a caller-provided adjacency index, so all-pairs
-// table construction indexes the topology once instead of per route.
-Route compute_route_indexed(const Topology& topo, const Adjacency& adj,
+// compute_route with a caller-provided class table, so all-pairs table
+// construction builds it once instead of per route.
+Route compute_route_indexed(const Topology& topo,
+                            const std::vector<std::uint8_t>& classes,
                             std::uint32_t src, std::uint32_t dst,
                             RoutingAlgorithm algorithm) {
   require(src < topo.num_nis() && dst < topo.num_nis(),
@@ -248,13 +234,13 @@ Route compute_route_indexed(const Topology& topo, const Adjacency& adj,
   std::vector<std::uint32_t> links;
   switch (algorithm) {
     case RoutingAlgorithm::kShortestPath:
-      links = bfs_path(topo, adj, from_sw, to_sw);
+      links = bfs_path(topo, classes, from_sw, to_sw);
       break;
     case RoutingAlgorithm::kXY:
-      links = xy_path(topo, adj, from_sw, to_sw);
+      links = xy_path(topo, from_sw, to_sw);
       break;
     case RoutingAlgorithm::kUpDown:
-      links = updown_path(topo, adj, from_sw, to_sw);
+      links = updown_path(topo, from_sw, to_sw);
       break;
   }
 
@@ -280,7 +266,7 @@ Route compute_route_indexed(const Topology& topo, const Adjacency& adj,
 
 Route compute_route(const Topology& topo, std::uint32_t src,
                     std::uint32_t dst, RoutingAlgorithm algorithm) {
-  return compute_route_indexed(topo, build_adjacency(topo), src, dst,
+  return compute_route_indexed(topo, link_classes(topo), src, dst,
                                algorithm);
 }
 
@@ -300,15 +286,16 @@ std::size_t RoutingTables::max_hops() const {
 
 RoutingTables compute_all_routes(const Topology& topo,
                                  RoutingAlgorithm algorithm) {
-  // One adjacency index for the whole all-pairs table.
-  const Adjacency adj = build_adjacency(topo);
+  // One class table and one target list for the whole all-pairs table.
+  const std::vector<std::uint8_t> classes = link_classes(topo);
+  const std::vector<std::uint32_t> targets = topo.target_ids();
   RoutingTables tables;
   for (const std::uint32_t ini : topo.initiator_ids()) {
-    for (const std::uint32_t tgt : topo.target_ids()) {
+    for (const std::uint32_t tgt : targets) {
       tables.routes[{ini, tgt}] =
-          compute_route_indexed(topo, adj, ini, tgt, algorithm);
+          compute_route_indexed(topo, classes, ini, tgt, algorithm);
       tables.routes[{tgt, ini}] =
-          compute_route_indexed(topo, adj, tgt, ini, algorithm);
+          compute_route_indexed(topo, classes, tgt, ini, algorithm);
     }
   }
   return tables;
@@ -323,10 +310,9 @@ std::vector<std::uint8_t> dateline_route_vcs(const Topology& topo,
   std::int64_t prev_link = -1;
   std::uint8_t vc = 0;
   for (std::size_t hop = 0; hop < route.size(); ++hop) {
-    const auto ports = topo.output_ports(cur);
-    require(route[hop] < ports.size(),
+    require(route[hop] < topo.num_outputs(cur),
             "dateline_route_vcs: selector out of range");
-    const PortRef& ref = ports[route[hop]];
+    const PortRef ref = topo.output_port(cur, route[hop]);
     if (ref.kind == PortRef::Kind::kNi) break;  // ejection keeps the lane
     const Link& link = topo.link(ref.id);
     if (prev_link < 0 ||
@@ -352,10 +338,9 @@ std::vector<std::uint32_t> route_switch_path(const Topology& topo,
   std::uint32_t cur = topo.ni(src).switch_id;
   path.push_back(cur);
   for (std::size_t hop = 0; hop < route.size(); ++hop) {
-    const auto ports = topo.output_ports(cur);
-    require(route[hop] < ports.size(),
+    require(route[hop] < topo.num_outputs(cur),
             "route_switch_path: selector out of range");
-    const PortRef& ref = ports[route[hop]];
+    const PortRef ref = topo.output_port(cur, route[hop]);
     if (ref.kind == PortRef::Kind::kNi) {
       require(hop + 1 == route.size(),
               "route_switch_path: route continues past an NI exit");

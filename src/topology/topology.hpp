@@ -12,6 +12,11 @@
 // hardware:
 //   switch inputs:  [incoming links, in insertion order][attached NIs]
 //   switch outputs: [outgoing links, in insertion order][attached NIs]
+//
+// The port lists are indexed as the topology is built: add_link and
+// attach_* append to their switch's lists, and ids only grow, so each
+// list is already in insertion order whatever order links and NIs are
+// interleaved in. No port query scans the whole link/NI table.
 #pragma once
 
 #include <cstdint>
@@ -95,19 +100,32 @@ class Topology {
   const SwitchNode& switch_node(std::uint32_t id) const;
   SwitchNode& switch_node(std::uint32_t id);
   const Link& link(std::uint32_t id) const;
-  /// Mutable access for post-construction adjustments (floorplan-derived
-  /// pipeline stages).
-  Link& mutable_link(std::uint32_t id);
+  /// Post-construction pipeline depth (floorplan-derived wire length).
+  /// Endpoints are fixed once a link is added: the port index keys on them.
+  void set_link_stages(std::uint32_t id, std::size_t stages);
   const NiNode& ni(std::uint32_t id) const;
 
   std::vector<std::uint32_t> initiator_ids() const;
   std::vector<std::uint32_t> target_ids() const;
 
   /// Ordered input/output port lists of a switch (see file comment).
+  /// O(radix).
   std::vector<PortRef> input_ports(std::uint32_t switch_id) const;
   std::vector<PortRef> output_ports(std::uint32_t switch_id) const;
 
-  /// Port index of `ref` on the switch, or npos.
+  /// Port counts and the output port at position `i`, without building
+  /// a list: O(1). The route walks (routing, deadlock check) use these
+  /// per hop.
+  std::size_t num_inputs(std::uint32_t switch_id) const;
+  std::size_t num_outputs(std::uint32_t switch_id) const;
+  PortRef output_port(std::uint32_t switch_id, std::size_t i) const;
+
+  /// Outgoing link ids of a switch in insertion order — its first
+  /// output ports.
+  const std::vector<std::uint32_t>& out_links(std::uint32_t switch_id) const;
+
+  /// Port index of `ref` on the switch, or npos (also for a ref that
+  /// belongs to another switch or does not exist). O(log radix).
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t input_index(std::uint32_t switch_id, const PortRef& ref) const;
   std::size_t output_index(std::uint32_t switch_id, const PortRef& ref) const;
@@ -121,9 +139,19 @@ class Topology {
   void validate() const;
 
  private:
+  /// Per-switch port index, each list sorted by id (= insertion order).
+  struct SwitchPorts {
+    std::vector<std::uint32_t> in_links;
+    std::vector<std::uint32_t> out_links;
+    std::vector<std::uint32_t> nis;  ///< attached NIs, both kinds
+  };
+
+  const SwitchPorts& ports_of(std::uint32_t switch_id) const;
+
   std::vector<SwitchNode> switches_;
   std::vector<Link> links_;
   std::vector<NiNode> nis_;
+  std::vector<SwitchPorts> ports_;  ///< indexed by switch id
 };
 
 }  // namespace xpl::topology

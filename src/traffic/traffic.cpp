@@ -183,6 +183,7 @@ void TracePlayer::roll_cycle(std::uint64_t release) {
     txn.burst_len = entry.burst;
     txn.thread_id = entry.thread;
     if (entry.cmd != ocp::Cmd::kRead) {
+      txn.data.reserve(entry.burst);
       for (std::uint32_t b = 0; b < entry.burst; ++b) {
         txn.data.push_back(payload_ ? payload_(next_, b)
                                     : rng_.next_u64());
@@ -357,6 +358,7 @@ void TrafficDriver::roll_cycle(std::uint64_t release) {
       txn.cmd = ocp::Cmd::kRead;
     } else {
       txn.cmd = ocp::Cmd::kWrite;
+      txn.data.reserve(burst);
       for (std::uint32_t b = 0; b < burst; ++b) {
         txn.data.push_back(rng_.next_u64());
       }

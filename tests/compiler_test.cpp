@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "src/topology/generators.hpp"
+#include "src/traffic/traffic.hpp"
 
 namespace xpl::compiler {
 namespace {
@@ -81,6 +82,66 @@ TEST(Compiler, MeshCaseStudyMatchesPaperInventory) {
   // ~2.6 mm2. Hold the model to the right neighbourhood.
   EXPECT_GT(report.total_area_mm2, 1.5);
   EXPECT_LT(report.total_area_mm2, 4.0);
+}
+
+void expect_same_report(const SynthesisReport& got,
+                        const SynthesisReport& want) {
+  ASSERT_EQ(got.instances.size(), want.instances.size());
+  for (std::size_t i = 0; i < want.instances.size(); ++i) {
+    const InstanceEstimate& g = got.instances[i];
+    const InstanceEstimate& w = want.instances[i];
+    SCOPED_TRACE(w.name);
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(g.kind, w.kind);
+    EXPECT_EQ(g.netlist.combinational, w.netlist.combinational);
+    EXPECT_EQ(g.netlist.flops, w.netlist.flops);
+    EXPECT_EQ(g.estimate.area_mm2, w.estimate.area_mm2);
+    EXPECT_EQ(g.estimate.power_mw, w.estimate.power_mw);
+    EXPECT_EQ(g.estimate.fmax_mhz, w.estimate.fmax_mhz);
+    EXPECT_EQ(g.estimate.target_mhz, w.estimate.target_mhz);
+    EXPECT_EQ(g.estimate.feasible, w.estimate.feasible);
+  }
+  EXPECT_EQ(got.total_area_mm2, want.total_area_mm2);
+  EXPECT_EQ(got.total_power_mw, want.total_power_mw);
+  EXPECT_EQ(got.min_fmax_mhz, want.min_fmax_mhz);
+}
+
+TEST(Compiler, EstimateOfBuiltNetworkMatchesSpecEstimate) {
+  XpipesCompiler xpipes;
+  NocSpec xy = mesh_spec(3, 3);
+
+  NocSpec torus;
+  torus.name = "torus";
+  torus.topo = topology::make_torus(3, 3, topology::NiPlan::uniform(9, 1, 1));
+  torus.net.vcs = 2;  // minimal routing over datelines
+  torus.net.flow = link::FlowControl::kCredit;
+  torus.net.target_window = 1 << 12;
+
+  NocSpec sized = mesh_spec(3, 3);
+  sized.name = "sized";
+  xpipes.optimize_buffer_sizes(sized, 2, 8);
+  ASSERT_FALSE(sized.net.output_fifo_override.empty());
+
+  for (const NocSpec* spec : {&xy, &torus, &sized}) {
+    SCOPED_TRACE(spec->name);
+    const SynthesisReport want = xpipes.estimate(*spec, 800.0, 0.2);
+    auto net = xpipes.build_simulation(*spec);
+    expect_same_report(xpipes.estimate(*net, 800.0, 0.2), want);
+
+    // Simulate and drain: the estimate reads nothing that simulation
+    // changes.
+    traffic::TrafficConfig tcfg;
+    tcfg.injection_rate = 0.1;
+    traffic::TrafficDriver driver(*net, tcfg);
+    driver.run(400);
+    net->run_until_quiescent(50000);
+    ASSERT_TRUE(net->quiescent());
+    ASSERT_GT(driver.injected(), 0u);
+    expect_same_report(xpipes.estimate(*net, 800.0, 0.2), want);
+  }
+  const auto torus_net = xpipes.build_simulation(torus);
+  EXPECT_EQ(torus_net->switch_at(0).config().vc_map,
+            switchlib::VcMap::kDateline);
 }
 
 TEST(Emitter, OneClassPerDistinctConfig) {

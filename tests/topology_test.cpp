@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
 
@@ -179,6 +181,166 @@ TEST(Generators, PaperCaseStudyInventory) {
   std::size_t max_out = t.max_radix_out();
   EXPECT_EQ(max_in, 6u);
   EXPECT_EQ(max_out, 6u);
+}
+
+// ---- Port index vs a brute-force reference.
+
+// The documented port numbering, by scanning the whole link and NI
+// tables: links in id order, then attached NIs in id order.
+std::vector<PortRef> reference_ports(const Topology& t, std::uint32_t s,
+                                     bool inputs) {
+  std::vector<PortRef> ports;
+  for (std::uint32_t l = 0; l < t.num_links(); ++l) {
+    if ((inputs ? t.link(l).to : t.link(l).from) == s) {
+      ports.push_back(PortRef{PortRef::Kind::kLink, l});
+    }
+  }
+  for (std::uint32_t n = 0; n < t.num_nis(); ++n) {
+    if (t.ni(n).switch_id == s) {
+      ports.push_back(PortRef{PortRef::Kind::kNi, n});
+    }
+  }
+  return ports;
+}
+
+std::size_t reference_index(const std::vector<PortRef>& ports,
+                            const PortRef& ref) {
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    if (ports[i] == ref) return i;
+  }
+  return Topology::npos;
+}
+
+// Every port query on every switch, for every ref in the topology (and
+// one past the end of each id space), against the reference scan. A ref
+// that belongs to another switch must give npos.
+void expect_index_matches_reference(const Topology& t) {
+  std::vector<PortRef> refs;
+  for (std::uint32_t l = 0; l <= t.num_links(); ++l) {
+    refs.push_back(PortRef{PortRef::Kind::kLink, l});
+  }
+  for (std::uint32_t n = 0; n <= t.num_nis(); ++n) {
+    refs.push_back(PortRef{PortRef::Kind::kNi, n});
+  }
+  std::size_t max_in = 0;
+  std::size_t max_out = 0;
+  for (std::uint32_t s = 0; s < t.num_switches(); ++s) {
+    SCOPED_TRACE("switch " + std::to_string(s));
+    const auto ins = reference_ports(t, s, /*inputs=*/true);
+    const auto outs = reference_ports(t, s, /*inputs=*/false);
+    max_in = std::max(max_in, ins.size());
+    max_out = std::max(max_out, outs.size());
+    EXPECT_EQ(t.input_ports(s), ins);
+    EXPECT_EQ(t.output_ports(s), outs);
+    ASSERT_EQ(t.num_inputs(s), ins.size());
+    ASSERT_EQ(t.num_outputs(s), outs.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      EXPECT_EQ(t.output_port(s, i), outs[i]);
+    }
+    EXPECT_THROW(t.output_port(s, outs.size()), Error);
+    for (const PortRef& ref : refs) {
+      EXPECT_EQ(t.input_index(s, ref), reference_index(ins, ref));
+      EXPECT_EQ(t.output_index(s, ref), reference_index(outs, ref));
+    }
+  }
+  EXPECT_EQ(t.max_radix_in(), max_in);
+  EXPECT_EQ(t.max_radix_out(), max_out);
+}
+
+TEST(PortIndex, MatchesReferenceOnEveryGenerator) {
+  const std::vector<std::pair<const char*, Topology>> cases = {
+      {"mesh", make_mesh(3, 4, NiPlan::uniform(12, 1, 1))},
+      {"mesh_sparse_nis",
+       make_mesh(3, 3, NiPlan{{2, 0, 1, 0, 0, 1, 0, 1, 0},
+                              {0, 1, 3, 0, 1, 0, 0, 0, 2}})},
+      {"cmesh", make_cmesh(3, 2, 2)},
+      {"torus", make_torus(3, 3, NiPlan::uniform(9, 1, 1))},
+      {"ring", make_ring(5, NiPlan::uniform(5, 1, 1))},
+      {"star", make_star(4, NiPlan::uniform(5, 1, 1))},
+      {"spidergon", make_spidergon(6, NiPlan::uniform(6, 1, 1))},
+      {"binary_tree", make_binary_tree(3, NiPlan::uniform(7, 1, 1))},
+      {"paper_case_study", make_paper_case_study()},
+  };
+  for (const auto& [name, topo] : cases) {
+    SCOPED_TRACE(name);
+    topo.validate();
+    expect_index_matches_reference(topo);
+  }
+}
+
+TEST(PortIndex, NisAttachedBetweenLinksKeepLinksFirst) {
+  // NIs attached before, between and after a switch's links, and a
+  // switch added after NI ids were handed out: every list still numbers
+  // links (by id) before NIs (by id).
+  Topology t;
+  const auto a = t.add_switch("a");
+  const auto b = t.add_switch("b");
+  const auto i0 = t.attach_initiator(b);
+  t.add_link(a, b);  // 0
+  const auto t1 = t.attach_target(a);
+  t.add_link(b, a);  // 1
+  const auto c = t.add_switch("c");
+  const auto i2 = t.attach_initiator(a);
+  t.add_duplex(b, c);  // 2 (b->c), 3 (c->b)
+  const auto t3 = t.attach_target(c);
+  t.add_link(a, c);  // 4
+  t.add_link(c, a);  // 5
+  t.validate();
+  expect_index_matches_reference(t);
+
+  const auto outs = t.output_ports(a);
+  ASSERT_EQ(outs.size(), 4u);
+  EXPECT_EQ(outs[0], (PortRef{PortRef::Kind::kLink, 0}));
+  EXPECT_EQ(outs[1], (PortRef{PortRef::Kind::kLink, 4}));
+  EXPECT_EQ(outs[2], (PortRef{PortRef::Kind::kNi, t1}));
+  EXPECT_EQ(outs[3], (PortRef{PortRef::Kind::kNi, i2}));
+  EXPECT_EQ(t.output_index(b, {PortRef::Kind::kNi, i0}), 2u);
+  EXPECT_EQ(t.input_index(c, {PortRef::Kind::kNi, t3}), 2u);
+  EXPECT_EQ(t.output_index(c, {PortRef::Kind::kNi, i0}), Topology::npos);
+  EXPECT_EQ(t.out_links(a), (std::vector<std::uint32_t>{0, 4}));
+}
+
+std::string validate_error(const Topology& t) {
+  try {
+    t.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PortIndex, ValidateKeepsErrorTexts) {
+  Topology unused;
+  const auto a = unused.add_switch("a");
+  const auto b = unused.add_switch("b");
+  unused.add_switch("c");  // nothing attached: no ports at all
+  unused.add_duplex(a, b);
+  unused.attach_initiator(a);
+  EXPECT_EQ(validate_error(unused), "Topology: switch c has unused ports");
+
+  Topology one_way;  // a -> b -> c, nothing back
+  const auto x = one_way.add_switch("x");
+  const auto y = one_way.add_switch("y");
+  const auto z = one_way.add_switch("z");
+  one_way.add_link(x, y);
+  one_way.add_link(y, z);
+  one_way.add_link(z, y);
+  for (const auto s : {x, y, z}) one_way.attach_target(s);
+  EXPECT_EQ(validate_error(one_way), "Topology: switch x unreachable from y");
+
+  Topology empty;
+  EXPECT_EQ(validate_error(empty), "Topology: no switches");
+  empty.add_switch();
+  EXPECT_EQ(validate_error(empty), "Topology: no network interfaces");
+}
+
+TEST(PortIndex, LinkStagesAdjustableAfterConstruction) {
+  auto t = make_mesh(2, 2, NiPlan::uniform(4, 1, 1));
+  const auto before = t.output_ports(0);
+  t.set_link_stages(0, 3);
+  EXPECT_EQ(t.link(0).stages, 3u);
+  EXPECT_EQ(t.output_ports(0), before);
+  EXPECT_THROW(t.set_link_stages(99, 1), Error);
 }
 
 TEST(Generators, DegenerateDimensionsRejected) {
