@@ -22,7 +22,8 @@
 //   bench_sim_speed [--bench-json BENCH_foo.json] [google-benchmark flags]
 //
 // --bench-json writes the machine-readable perf record tracked across PRs
-// (see README.md "Tracking performance").
+// (see README.md "Tracking performance"), headed by a host block: CPU
+// count and model, compiler and build type.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -31,8 +32,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -782,6 +785,31 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   std::vector<Run> runs_;
 };
 
+// The host a record was taken on: CPUs, CPU model (from /proc/cpuinfo
+// where it exists), compiler and CMake build type.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != line.npos) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  std::erase_if(cpu, [](char c) { return c == '"' || c == '\\'; });
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": \"" + cpu + "\", \"compiler\": \"" + compiler +
+         "\", \"build_type\": \"" XPL_BUILD_TYPE "\"}";
+}
+
 bool write_bench_json(const std::string& path,
                       const std::vector<benchmark::BenchmarkReporter::Run>&
                           runs) {
@@ -790,7 +818,8 @@ bool write_bench_json(const std::string& path,
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return false;
   }
-  std::fprintf(out, "{\"bench\": \"sim_speed\", \"results\": [");
+  std::fprintf(out, "{\"bench\": \"sim_speed\", \"host\": %s, \"results\": [",
+               host_json().c_str());
   bool first = true;
   for (const auto& run : runs) {
     double items_per_s = 0.0;

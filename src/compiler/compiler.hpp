@@ -77,11 +77,20 @@ class XpipesCompiler {
 
   /// Synthesis view: generated SystemC, filename -> content. One class
   /// per distinct component configuration plus the hierarchical top level
-  /// and the routing tables.
+  /// and the routing tables. Builds the simulation view, then emits it.
   std::map<std::string, std::string> emit_systemc(const NocSpec& spec) const;
+
+  /// Same files from an already elaborated network, with `top_name` (the
+  /// spec's name) naming the top level. Like estimate(network), it reads
+  /// only what construction fixed, so one network can be estimated,
+  /// emitted and then simulated.
+  std::map<std::string, std::string> emit_systemc(
+      const noc::Network& network, const std::string& top_name) const;
 
   /// Writes emit_systemc() output under `directory` (created if needed).
   void write_systemc(const NocSpec& spec, const std::string& directory) const;
+  static void write_systemc(const std::map<std::string, std::string>& files,
+                            const std::string& directory);
 
   /// The paper's per-instance "component optimizations: buffer sizes":
   /// sizes every switch's output queue to its routed load. Walks all

@@ -204,31 +204,35 @@ std::string emit_target(const ni::TargetConfig& c,
 
 std::map<std::string, std::string> XpipesCompiler::emit_systemc(
     const NocSpec& spec) const {
-  const auto network = build_simulation(spec);
+  return emit_systemc(*build_simulation(spec), spec.name);
+}
+
+std::map<std::string, std::string> XpipesCompiler::emit_systemc(
+    const noc::Network& network, const std::string& top_name) const {
   std::map<std::string, std::string> files;
 
   // ---- One class per *distinct* configuration (the paper's "class
   // template for each network component type").
   std::set<std::string> emitted;
-  for (std::size_t s = 0; s < network->num_switches(); ++s) {
-    const auto& config = network->switch_at(s).config();
+  for (std::size_t s = 0; s < network.num_switches(); ++s) {
+    const auto& config = network.switch_at(s).config();
     const std::string cls = switch_class_name(config);
     if (emitted.insert(cls).second) {
       files[cls + ".h"] = emit_switch(config);
     }
   }
-  for (std::size_t i = 0; i < network->num_initiators(); ++i) {
-    const auto& config = network->initiator_ni(i).config();
+  for (std::size_t i = 0; i < network.num_initiators(); ++i) {
+    const auto& config = network.initiator_ni(i).config();
     const std::string cls = ini_class_name(config);
     if (emitted.insert(cls).second) {
-      files[cls + ".h"] = emit_initiator(config, network->num_targets());
+      files[cls + ".h"] = emit_initiator(config, network.num_targets());
     }
   }
-  for (std::size_t t = 0; t < network->num_targets(); ++t) {
-    const auto& config = network->target_ni(t).config();
+  for (std::size_t t = 0; t < network.num_targets(); ++t) {
+    const auto& config = network.target_ni(t).config();
     const std::string cls = tgt_class_name(config);
     if (emitted.insert(cls).second) {
-      files[cls + ".h"] = emit_target(config, network->num_initiators());
+      files[cls + ".h"] = emit_target(config, network.num_initiators());
     }
   }
 
@@ -236,23 +240,24 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
   {
     std::ostringstream os;
     os << "// Generated by xpipesCompiler — routing tables ("
-       << topology::routing_name(spec.net.routing) << ").\n"
+       << topology::routing_name(network.config().routing) << ").\n"
        << "#ifndef XPIPES_ROUTES_H\n#define XPIPES_ROUTES_H\n\n";
-    const auto& fmt = network->format();
+    const auto& fmt = network.format();
     os << "static const unsigned XPIPES_PORT_BITS = "
        << fmt.header.port_bits << ";\n"
        << "static const unsigned XPIPES_MAX_HOPS = " << fmt.header.max_hops
        << ";\n\n";
-    for (const auto& [pair, route] : network->routes().routes) {
-      os << "// NI " << pair.first << " -> NI " << pair.second << "\n"
-         << "static const unsigned char xpipes_route_" << pair.first << "_"
-         << pair.second << "[] = {";
+    network.routes().for_each([&](std::uint32_t src, std::uint32_t dst,
+                                  RouteView route) {
+      os << "// NI " << src << " -> NI " << dst << "\n"
+         << "static const unsigned char xpipes_route_" << src << "_" << dst
+         << "[] = {";
       for (std::size_t h = 0; h < route.size(); ++h) {
         if (h) os << ", ";
         os << static_cast<unsigned>(route[h]);
       }
       os << "};\n";
-    }
+    });
     os << "\n#endif  // XPIPES_ROUTES_H\n";
     files["xpipes_routes.h"] = os.str();
   }
@@ -261,20 +266,20 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
   {
     std::ostringstream os;
     os << "// Generated by xpipesCompiler — hierarchical top level for '"
-       << spec.name << "'.\n"
+       << top_name << "'.\n"
        << "#ifndef XPIPES_TOP_H\n#define XPIPES_TOP_H\n\n"
        << "#include <systemc.h>\n";
     for (const auto& cls : emitted) os << "#include \"" << cls << ".h\"\n";
-    os << "\nSC_MODULE(" << spec.name << "_top) {\n"
+    os << "\nSC_MODULE(" << top_name << "_top) {\n"
        << "  sc_in<bool> clock;\n  sc_in<bool> reset;\n\n";
 
     // Signals per topology link and per NI attachment.
-    const auto& topo = network->topo();
+    const auto& topo = network.topo();
     const std::size_t w =
-        wire_width(spec.net.flit_width,
-                   network->switch_at(0).config().protocol);
+        wire_width(network.config().flit_width,
+                   network.switch_at(0).config().protocol);
     const std::size_t ab =
-        network->switch_at(0).config().protocol.seq_bits + 2;
+        network.switch_at(0).config().protocol.seq_bits + 2;
     for (std::uint32_t l = 0; l < topo.num_links(); ++l) {
       os << "  sc_signal<sc_uint<" << w << "> > link" << l << "_flit;\n"
          << "  sc_signal<bool> link" << l << "_valid;\n"
@@ -289,40 +294,40 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
          << n << "_rx_ack;\n";
     }
     os << "\n  // Component instances.\n";
-    for (std::size_t s = 0; s < network->num_switches(); ++s) {
-      os << "  " << switch_class_name(network->switch_at(s).config()) << " "
-         << network->switch_at(s).name() << ";\n";
+    for (std::size_t s = 0; s < network.num_switches(); ++s) {
+      os << "  " << switch_class_name(network.switch_at(s).config()) << " "
+         << network.switch_at(s).name() << ";\n";
     }
-    for (std::size_t i = 0; i < network->num_initiators(); ++i) {
-      os << "  " << ini_class_name(network->initiator_ni(i).config()) << " "
-         << network->initiator_ni(i).name() << ";\n";
+    for (std::size_t i = 0; i < network.num_initiators(); ++i) {
+      os << "  " << ini_class_name(network.initiator_ni(i).config()) << " "
+         << network.initiator_ni(i).name() << ";\n";
     }
-    for (std::size_t t = 0; t < network->num_targets(); ++t) {
-      os << "  " << tgt_class_name(network->target_ni(t).config()) << " "
-         << network->target_ni(t).name() << ";\n";
+    for (std::size_t t = 0; t < network.num_targets(); ++t) {
+      os << "  " << tgt_class_name(network.target_ni(t).config()) << " "
+         << network.target_ni(t).name() << ";\n";
     }
 
-    os << "\n  SC_CTOR(" << spec.name << "_top)";
+    os << "\n  SC_CTOR(" << top_name << "_top)";
     bool first = true;
-    for (std::size_t s = 0; s < network->num_switches(); ++s) {
+    for (std::size_t s = 0; s < network.num_switches(); ++s) {
       os << (first ? "\n      : " : ",\n        ")
-         << network->switch_at(s).name() << "(\""
-         << network->switch_at(s).name() << "\")";
+         << network.switch_at(s).name() << "(\""
+         << network.switch_at(s).name() << "\")";
       first = false;
     }
-    for (std::size_t i = 0; i < network->num_initiators(); ++i) {
-      os << ",\n        " << network->initiator_ni(i).name() << "(\""
-         << network->initiator_ni(i).name() << "\")";
+    for (std::size_t i = 0; i < network.num_initiators(); ++i) {
+      os << ",\n        " << network.initiator_ni(i).name() << "(\""
+         << network.initiator_ni(i).name() << "\")";
     }
-    for (std::size_t t = 0; t < network->num_targets(); ++t) {
-      os << ",\n        " << network->target_ni(t).name() << "(\""
-         << network->target_ni(t).name() << "\")";
+    for (std::size_t t = 0; t < network.num_targets(); ++t) {
+      os << ",\n        " << network.target_ni(t).name() << "(\""
+         << network.target_ni(t).name() << "\")";
     }
     os << " {\n";
 
     // Port binding: switches.
     for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
-      const std::string& sw = network->switch_at(s).name();
+      const std::string& sw = network.switch_at(s).name();
       os << "    " << sw << ".clock(clock); " << sw << ".reset(reset);\n";
       const auto in_ports = topo.input_ports(s);
       for (std::size_t p = 0; p < in_ports.size(); ++p) {
@@ -361,7 +366,7 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
          << ".ack_out(ni" << id << "_rx_ack);\n";
     }
     os << "  }\n};\n\n#endif  // XPIPES_TOP_H\n";
-    files[spec.name + "_top.h"] = os.str();
+    files[top_name + "_top.h"] = os.str();
   }
 
   return files;
@@ -369,9 +374,15 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
 
 void XpipesCompiler::write_systemc(const NocSpec& spec,
                                    const std::string& directory) const {
+  write_systemc(emit_systemc(spec), directory);
+}
+
+void XpipesCompiler::write_systemc(
+    const std::map<std::string, std::string>& files,
+    const std::string& directory) {
   namespace fs = std::filesystem;
   fs::create_directories(directory);
-  for (const auto& [name, content] : emit_systemc(spec)) {
+  for (const auto& [name, content] : files) {
     std::ofstream out(fs::path(directory) / name);
     require(out.good(), "write_systemc: cannot open " + name);
     out << content;

@@ -1,5 +1,7 @@
 #include "src/ni/lut.hpp"
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 
 namespace xpl::ni {
@@ -14,51 +16,27 @@ void RouteLut::add_range(const AddressRange& range) {
   ranges_.push_back(range);
 }
 
-void RouteLut::set_route(std::uint32_t dst, Route route) {
-  if (dst >= routes_.size()) routes_.resize(dst + 1);
-  routes_[dst] = std::move(route);
+void RouteViews::set_route(std::uint32_t id, RouteView route) {
+  require(!route.empty(), "RouteLut: empty route");
+  if (id >= routes_.size()) routes_.resize(id + 1);
+  routes_[id] = route;
+}
+
+std::size_t RouteViews::num_routes() const {
+  return static_cast<std::size_t>(
+      std::count_if(routes_.begin(), routes_.end(),
+                    [](RouteView route) { return !route.empty(); }));
 }
 
 std::optional<LutHit> RouteLut::lookup(std::uint64_t addr) const {
   for (const AddressRange& range : ranges_) {
     if (range.contains(addr)) {
-      const Route* route = route_to(range.dst);
-      require(route != nullptr, "RouteLut: range maps to routeless target");
+      const RouteView route = route_to(range.dst);
+      require(!route.empty(), "RouteLut: range maps to routeless target");
       return LutHit{range.dst, addr - range.base, route};
     }
   }
   return std::nullopt;
-}
-
-const Route* RouteLut::route_to(std::uint32_t dst) const {
-  if (dst >= routes_.size() || !routes_[dst].has_value()) return nullptr;
-  return &*routes_[dst];
-}
-
-std::size_t RouteLut::num_routes() const {
-  std::size_t n = 0;
-  for (const auto& r : routes_) {
-    if (r.has_value()) ++n;
-  }
-  return n;
-}
-
-void ResponseLut::set_route(std::uint32_t src, Route route) {
-  if (src >= routes_.size()) routes_.resize(src + 1);
-  routes_[src] = std::move(route);
-}
-
-const Route* ResponseLut::route_to(std::uint32_t src) const {
-  if (src >= routes_.size() || !routes_[src].has_value()) return nullptr;
-  return &*routes_[src];
-}
-
-std::size_t ResponseLut::num_routes() const {
-  std::size_t n = 0;
-  for (const auto& r : routes_) {
-    if (r.has_value()) ++n;
-  }
-  return n;
 }
 
 }  // namespace xpl::ni

@@ -6,6 +6,10 @@
 // a source NI id back to the response route. Both tables are static
 // configuration — in hardware they synthesize to small ROMs, which the
 // synthesis estimator charges accordingly.
+//
+// A LUT holds views, not copies: each entry is a RouteView into storage
+// that must outlive the LUT — the Network's RoutingTables, or a named
+// Route in a testbench. Installing a temporary Route does not compile.
 #pragma once
 
 #include <cstdint>
@@ -27,47 +31,47 @@ struct AddressRange {
   }
 };
 
+/// Routes indexed by NI id — the target-side LUT's whole content and
+/// the route half of the initiator-side one. A real route ends with its
+/// ejection port, so an empty view means "no route".
+class RouteViews {
+ public:
+  void set_route(std::uint32_t id, RouteView route);
+  void set_route(std::uint32_t id, Route&& route) = delete;
+  /// Route to NI `id`; empty if none is installed.
+  RouteView route_to(std::uint32_t id) const {
+    return id < routes_.size() ? routes_[id] : RouteView{};
+  }
+  std::size_t num_routes() const;
+
+ private:
+  std::vector<RouteView> routes_;
+};
+
 /// Result of an address lookup.
 struct LutHit {
   std::uint32_t dst = 0;      ///< target NI id
   std::uint64_t offset = 0;   ///< address offset within the window
-  const Route* route = nullptr;  ///< precomputed source route
+  RouteView route;            ///< precomputed source route
 };
 
 /// Initiator-side LUT: address ranges plus one route per reachable target.
-class RouteLut {
+class RouteLut : public RouteViews {
  public:
-  RouteLut() = default;
-
   /// Adds an address window; windows must not overlap.
   void add_range(const AddressRange& range);
-
-  /// Installs the route used to reach target `dst`.
-  void set_route(std::uint32_t dst, Route route);
 
   /// Decodes `addr`; nullopt means no window matches (the NI reports an
   /// OCP ERR response locally without touching the network).
   std::optional<LutHit> lookup(std::uint64_t addr) const;
 
-  const Route* route_to(std::uint32_t dst) const;
-
   std::size_t num_ranges() const { return ranges_.size(); }
-  std::size_t num_routes() const;
 
  private:
   std::vector<AddressRange> ranges_;
-  std::vector<std::optional<Route>> routes_;  ///< indexed by dst id
 };
 
 /// Target-side LUT: response route per initiator id.
-class ResponseLut {
- public:
-  void set_route(std::uint32_t src, Route route);
-  const Route* route_to(std::uint32_t src) const;
-  std::size_t num_routes() const;
-
- private:
-  std::vector<std::optional<Route>> routes_;  ///< indexed by src id
-};
+class ResponseLut : public RouteViews {};
 
 }  // namespace xpl::ni

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ const char* packet_cmd_name(PacketCmd cmd);
 
 /// Source route: the output port to take at each hop, front() first.
 using Route = std::vector<std::uint8_t>;
+/// Non-owning view of a route — how the NI LUTs hold the rows of the
+/// network's route table (topology::RoutingTables).
+using RouteView = std::span<const std::uint8_t>;
 
 /// Field widths of the packed header for one network configuration.
 struct HeaderFormat {

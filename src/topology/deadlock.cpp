@@ -42,8 +42,7 @@ DeadlockReport check_deadlock(const Topology& topo,
     return static_cast<std::uint32_t>(link * vcs + vc);
   };
 
-  for (const auto& [pair, route] : tables.routes) {
-    const std::uint32_t src = pair.first;
+  tables.for_each([&](std::uint32_t src, std::uint32_t, RouteView route) {
     // Lanes per link hop: the dateline walk, or the initiator-chosen lane
     // held for the whole route. Without the dateline discipline every
     // initial lane is reachable (round-robin assignment), so each route
@@ -68,18 +67,19 @@ DeadlockReport check_deadlock(const Topology& topo,
         require(vc < vcs, "check_deadlock: lane out of range");
         const std::uint32_t ch = channel(ref.id, vc);
         if (prev_channel >= 0) {
-          deps[static_cast<std::size_t>(prev_channel)].push_back(ch);
+          // A channel has at most radix x lanes distinct successors, and
+          // every route through it repeats one: keep each edge once.
+          std::vector<std::uint32_t>& d =
+              deps[static_cast<std::size_t>(prev_channel)];
+          if (std::find(d.begin(), d.end(), ch) == d.end()) d.push_back(ch);
         }
         prev_channel = ch;
         ++hop_link;
         cur = topo.link(ref.id).to;
       }
     }
-  }
-  for (auto& d : deps) {
-    std::sort(d.begin(), d.end());
-    d.erase(std::unique(d.begin(), d.end()), d.end());
-  }
+  });
+  for (auto& d : deps) std::sort(d.begin(), d.end());
 
   // Iterative DFS cycle detection with path recovery.
   enum : std::uint8_t { kWhite, kGrey, kBlack };

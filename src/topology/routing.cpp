@@ -1,7 +1,8 @@
 #include "src/topology/routing.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <numeric>
 
 namespace xpl::topology {
 
@@ -19,283 +20,235 @@ const char* routing_name(RoutingAlgorithm algorithm) {
 
 namespace {
 
-// Sorted distinct vc_class table: class-monotone BFS needs it per path,
-// so compute_all_routes builds it once for the whole all-pairs table.
-// Paths explore each switch's outgoing links through the topology's port
-// index (Topology::out_links), in link-insertion order.
-std::vector<std::uint8_t> link_classes(const Topology& topo) {
-  std::vector<std::uint8_t> classes;
-  for (std::uint32_t l = 0; l < topo.num_links(); ++l) {
-    classes.push_back(topo.link(l).vc_class);
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+// Appends routes to a flat port array. The BFS algorithms keep the search
+// tree of the last source switch in scratch buffers reused by every tree.
+class RouteBuilder {
+ public:
+  RouteBuilder(const Topology& topo, RoutingAlgorithm algorithm)
+      : topo_(topo), algorithm_(algorithm), first_(topo.num_switches()) {
+    if (algorithm == RoutingAlgorithm::kShortestPath) set_class_phases();
+    if (algorithm == RoutingAlgorithm::kUpDown) set_updown_phases();
   }
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  return classes;
-}
 
-// BFS over switches; returns the link ids of a shortest path from_sw ->
-// to_sw (empty if from_sw == to_sw). Deterministic: links are explored in
-// insertion order.
-//
-// Paths are *class-monotone*: links are traversed in non-decreasing
-// vc_class order, the structure the dateline lane discipline needs (torus
-// routes go x-then-y, spidergon routes take the cross link first). On a
-// topology whose links all share one class — every mesh, ring, star, tree
-// and custom topology without annotations — the phase dimension collapses
-// and this is byte-for-byte the plain BFS the seed shipped. On annotated
-// topologies (make_torus, make_spidergon) class-monotone shortest paths
-// have the same length as unconstrained ones: the dimensions of a torus
-// displace independently, and a spidergon cross hop commutes with ring
-// hops.
-std::vector<std::uint32_t> bfs_path(const Topology& topo,
-                                    const std::vector<std::uint8_t>& classes,
-                                    std::uint32_t from_sw,
-                                    std::uint32_t to_sw) {
-  const std::size_t n = topo.num_switches();
-
-  // Phase = index of the last-taken link's class in the precomputed
-  // distinct-class table. One class (the common case) keeps the state
-  // space at n.
-  const std::size_t phases = std::max<std::size_t>(classes.size(), 1);
-  auto phase_of = [&](std::uint8_t cls) {
-    return static_cast<std::size_t>(
-        std::lower_bound(classes.begin(), classes.end(), cls) -
-        classes.begin());
-  };
-
-  auto idx = [&](std::uint32_t sw, std::size_t phase) {
-    return sw * phases + phase;
-  };
-  // -2 unseen, -1 start; otherwise packed (predecessor state, link).
-  std::vector<std::int64_t> via(n * phases, -2);
-  std::deque<std::pair<std::uint32_t, std::size_t>> queue;
-  queue.emplace_back(from_sw, 0);  // phase 0 = lowest class: allows any link
-  via[idx(from_sw, 0)] = -1;
-  std::int64_t final_state = -1;
-  while (!queue.empty()) {
-    const auto [s, phase] = queue.front();
-    queue.pop_front();
-    if (s == to_sw) {
-      final_state = static_cast<std::int64_t>(idx(s, phase));
-      break;
+  void append_route(std::uint32_t src, std::uint32_t dst,
+                    std::vector<std::uint8_t>& out) {
+    const std::uint32_t from_sw = topo_.ni(src).switch_id;
+    const std::uint32_t to_sw = topo_.ni(dst).switch_id;
+    if (algorithm_ == RoutingAlgorithm::kXY) {
+      append_xy_path(from_sw, to_sw, out);
+    } else {
+      if (from_sw != root_) grow_tree(from_sw);
+      append_tree_path(to_sw, out);
     }
-    for (const std::uint32_t l : topo.out_links(s)) {
-      const Link& link = topo.link(l);
-      const std::size_t link_phase = phase_of(link.vc_class);
-      if (link_phase < phase) continue;  // class order is non-decreasing
-      if (via[idx(link.to, link_phase)] == -2) {
-        via[idx(link.to, link_phase)] =
-            static_cast<std::int64_t>(idx(s, phase)) * 0x100000000ll +
-            static_cast<std::int64_t>(l);
-        queue.emplace_back(link.to, link_phase);
+    // Final hop: exit the last switch toward the destination NI.
+    const std::size_t exit_port =
+        topo_.output_index(to_sw, PortRef{PortRef::Kind::kNi, dst});
+    XPL_ASSERT(exit_port != Topology::npos);
+    out.push_back(static_cast<std::uint8_t>(exit_port));
+  }
+
+ private:
+  struct State {
+    std::uint32_t parent = kNone;  ///< state this one was reached from
+    std::uint32_t depth = kNone;   ///< links from the root; kNone = unseen
+    std::uint8_t port = 0;         ///< output port taken at the parent
+  };
+
+  // Shortest-path phases: the rank of each link's vc_class among the
+  // classes in use, so paths are *class-monotone* — links in
+  // non-decreasing vc_class order, the structure the dateline lane
+  // discipline needs (torus routes go x-then-y, spidergon routes take the
+  // cross link first). On a topology whose links all share one class —
+  // every mesh, ring, star, tree and custom topology without annotations
+  // — there is one phase and this is the plain BFS. On annotated
+  // topologies (make_torus, make_spidergon) class-monotone shortest paths
+  // have the same length as unconstrained ones: the dimensions of a torus
+  // displace independently, and a spidergon cross hop commutes with ring
+  // hops.
+  void set_class_phases() {
+    std::array<std::uint8_t, 256> rank{};
+    for (std::uint32_t l = 0; l < topo_.num_links(); ++l) {
+      rank[topo_.link(l).vc_class] = 1;
+    }
+    std::size_t classes = 0;  // turn the in-use marks into ranks
+    for (std::uint8_t& r : rank) r = r ? classes++ : 0;
+    phases_ = std::max<std::size_t>(classes, 1);
+    for (std::uint32_t l = 0; l < topo_.num_links(); ++l) {
+      link_phase_.push_back(rank[topo_.link(l).vc_class]);
+    }
+  }
+
+  // Up*/down* phases (Autonet): a switch's level is its BFS distance from
+  // switch 0 — the same search with every link in phase 0. A link is
+  // "up" when it goes to a strictly lower (level, id) pair; up links are
+  // phase 0 and down links phase 1, so legal paths take up links, then
+  // down links — the channel dependency graph over such paths is acyclic
+  // on any topology.
+  void set_updown_phases() {
+    link_phase_.assign(topo_.num_links(), 0);
+    if (topo_.num_switches() > 0) grow_tree(0);
+    auto level = [&](std::uint32_t sw) {
+      return first_[sw] == kNone ? kNone : states_[first_[sw]].depth;
+    };
+    for (std::uint32_t l = 0; l < topo_.num_links(); ++l) {
+      const Link& link = topo_.link(l);
+      const bool up =
+          level(link.to) < level(link.from) ||
+          (level(link.to) == level(link.from) && link.to < link.from);
+      link_phase_[l] = up ? 0 : 1;
+    }
+    phases_ = 2;
+    root_ = kNone;  // the level tree routes nothing
+  }
+
+  // The one BFS: the full tree of phase-monotone paths from `root`, over
+  // (switch, phase) states. Links are explored in insertion (= output
+  // port) order, and a state keeps the parent it was first reached from.
+  void grow_tree(std::uint32_t root) {
+    states_.assign(topo_.num_switches() * phases_, State{});
+    std::fill(first_.begin(), first_.end(), kNone);
+    queue_.clear();
+    queue_.reserve(states_.size());
+    root_ = root;
+    const auto root_state = static_cast<std::uint32_t>(root * phases_);
+    states_[root_state].depth = 0;  // phase 0 is lowest: allows any link
+    first_[root] = root_state;
+    queue_.push_back(root_state);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const std::uint32_t s = queue_[head];
+      const std::size_t phase = s % phases_;
+      const std::vector<std::uint32_t>& links =
+          topo_.out_links(static_cast<std::uint32_t>(s / phases_));
+      for (std::size_t port = 0; port < links.size(); ++port) {
+        const std::uint8_t link_phase = link_phase_[links[port]];
+        if (link_phase < phase) continue;  // phases never decrease
+        const std::uint32_t to = topo_.link(links[port]).to;
+        const auto next =
+            static_cast<std::uint32_t>(to * phases_ + link_phase);
+        if (states_[next].depth != kNone) continue;
+        states_[next] = {s, states_[s].depth + 1,
+                         static_cast<std::uint8_t>(port)};
+        if (first_[to] == kNone) first_[to] = next;
+        queue_.push_back(next);
       }
     }
   }
-  require(final_state >= 0,
-          "compute_route: destination switch unreachable by a "
-          "class-monotone path");
-  std::vector<std::uint32_t> path;
-  std::int64_t state = final_state;
-  while (via[static_cast<std::size_t>(state)] != -1) {
-    const std::int64_t packed = via[static_cast<std::size_t>(state)];
-    path.push_back(static_cast<std::uint32_t>(packed & 0xFFFFFFFFll));
-    state = packed >> 32;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
 
-// Dimension-order: full X displacement, then Y. Requires coordinates and
-// a grid link in the needed direction at every step.
-std::vector<std::uint32_t> xy_path(const Topology& topo,
-                                   std::uint32_t from_sw,
-                                   std::uint32_t to_sw) {
-  std::vector<std::uint32_t> path;
-  std::uint32_t cur = from_sw;
-  auto step_toward = [&](bool x_dim) {
-    const SwitchNode& here = topo.switch_node(cur);
-    const SwitchNode& goal = topo.switch_node(to_sw);
-    require(here.x >= 0 && here.y >= 0 && goal.x >= 0 && goal.y >= 0,
-            "compute_route: XY routing needs grid coordinates");
-    const int want = x_dim ? (goal.x > here.x ? 1 : goal.x < here.x ? -1 : 0)
-                           : (goal.y > here.y ? 1 : goal.y < here.y ? -1 : 0);
-    if (want == 0) return false;
-    for (const std::uint32_t l : topo.out_links(cur)) {
-      const Link& link = topo.link(l);
-      const SwitchNode& next = topo.switch_node(link.to);
-      const int dx = next.x - here.x;
-      const int dy = next.y - here.y;
-      if (x_dim && dx == want && dy == 0) {
-        path.push_back(l);
-        cur = link.to;
-        return true;
-      }
-      if (!x_dim && dy == want && dx == 0) {
-        path.push_back(l);
-        cur = link.to;
-        return true;
-      }
-    }
-    throw Error("compute_route: grid link missing for XY step");
-  };
-  while (step_toward(/*x_dim=*/true)) {
-  }
-  while (step_toward(/*x_dim=*/false)) {
-  }
-  XPL_ASSERT(cur == to_sw);
-  return path;
-}
-
-// Up*/down* routing (Autonet): assign each switch a BFS level from switch
-// 0; a link is "up" when it goes to a strictly lower (level, id) pair.
-// Legal paths take zero or more up links then zero or more down links —
-// the channel dependency graph over such paths is acyclic on any
-// topology. BFS over (switch, phase) states finds the shortest legal
-// path.
-std::vector<std::uint32_t> updown_path(const Topology& topo,
-                                       std::uint32_t from_sw,
-                                       std::uint32_t to_sw) {
-  const std::size_t n = topo.num_switches();
-  std::vector<std::size_t> level(n, static_cast<std::size_t>(-1));
-  {
-    std::deque<std::uint32_t> queue{0};
-    level[0] = 0;
-    while (!queue.empty()) {
-      const std::uint32_t s = queue.front();
-      queue.pop_front();
-      for (const std::uint32_t l : topo.out_links(s)) {
-        const Link& link = topo.link(l);
-        if (level[link.to] == static_cast<std::size_t>(-1)) {
-          level[link.to] = level[s] + 1;
-          queue.push_back(link.to);
-        }
-      }
+  // The path to `to_sw` ends at the switch's first-reached state: the one
+  // a search stopping at `to_sw` pops first, as FIFO order and parents do
+  // not depend on where the search stops.
+  void append_tree_path(std::uint32_t to_sw,
+                        std::vector<std::uint8_t>& out) const {
+    const std::uint32_t last = first_[to_sw];
+    require(last != kNone,
+            algorithm_ == RoutingAlgorithm::kUpDown
+                ? "compute_route: no up*/down* path"
+                : "compute_route: destination switch unreachable by a "
+                  "class-monotone path");
+    const std::size_t begin = out.size();
+    out.resize(begin + states_[last].depth);
+    std::size_t hop = out.size();
+    for (std::uint32_t s = last; hop > begin; s = states_[s].parent) {
+      out[--hop] = states_[s].port;
     }
   }
-  auto is_up = [&](const Link& link) {
-    return level[link.to] < level[link.from] ||
-           (level[link.to] == level[link.from] && link.to < link.from);
-  };
 
-  // States: phase 0 = still allowed to go up, phase 1 = down only.
-  constexpr std::size_t kPhases = 2;
-  std::vector<std::int64_t> via(n * kPhases, -2);  // -2 unseen, -1 start
-  auto idx = [&](std::uint32_t sw, std::size_t phase) {
-    return sw * kPhases + phase;
-  };
-  std::deque<std::pair<std::uint32_t, std::size_t>> queue;
-  queue.emplace_back(from_sw, 0);
-  via[idx(from_sw, 0)] = -1;
-  std::int64_t final_state = -1;
-  while (!queue.empty()) {
-    const auto [s, phase] = queue.front();
-    queue.pop_front();
-    if (s == to_sw) {
-      final_state = static_cast<std::int64_t>(idx(s, phase));
-      break;
+  // Dimension-order: one grid step at a time, full X displacement, then
+  // Y. Requires coordinates and a grid link in the needed direction.
+  void append_xy_path(std::uint32_t cur, std::uint32_t to_sw,
+                      std::vector<std::uint8_t>& out) const {
+    const SwitchNode& goal = topo_.switch_node(to_sw);
+    for (;;) {
+      const SwitchNode& here = topo_.switch_node(cur);
+      require(here.x >= 0 && here.y >= 0 && goal.x >= 0 && goal.y >= 0,
+              "compute_route: XY routing needs grid coordinates");
+      const int want_x = (goal.x > here.x) - (goal.x < here.x);
+      const int want_y =
+          want_x != 0 ? 0 : (goal.y > here.y) - (goal.y < here.y);
+      if (want_x == 0 && want_y == 0) break;
+      const std::vector<std::uint32_t>& links = topo_.out_links(cur);
+      const auto step = std::find_if(
+          links.begin(), links.end(), [&](std::uint32_t l) {
+            const SwitchNode& next = topo_.switch_node(topo_.link(l).to);
+            return next.x - here.x == want_x && next.y - here.y == want_y;
+          });
+      require(step != links.end(),
+              "compute_route: grid link missing for XY step");
+      out.push_back(static_cast<std::uint8_t>(step - links.begin()));
+      cur = topo_.link(*step).to;
     }
-    for (const std::uint32_t l : topo.out_links(s)) {
-      const Link& link = topo.link(l);
-      const bool up = is_up(link);
-      if (phase == 1 && up) continue;  // no up after down
-      const std::size_t next_phase = up ? phase : 1;
-      if (via[idx(link.to, next_phase)] == -2) {
-        via[idx(link.to, next_phase)] =
-            static_cast<std::int64_t>(idx(s, phase)) * 0x100000000ll +
-            static_cast<std::int64_t>(l);
-        queue.emplace_back(link.to, next_phase);
-      }
-    }
-  }
-  require(final_state >= 0, "compute_route: no up*/down* path");
-  std::vector<std::uint32_t> path;
-  std::int64_t state = final_state;
-  while (via[static_cast<std::size_t>(state)] != -1) {
-    const std::int64_t packed = via[static_cast<std::size_t>(state)];
-    path.push_back(static_cast<std::uint32_t>(packed & 0xFFFFFFFFll));
-    state = packed >> 32;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-// compute_route with a caller-provided class table, so all-pairs table
-// construction builds it once instead of per route.
-Route compute_route_indexed(const Topology& topo,
-                            const std::vector<std::uint8_t>& classes,
-                            std::uint32_t src, std::uint32_t dst,
-                            RoutingAlgorithm algorithm) {
-  require(src < topo.num_nis() && dst < topo.num_nis(),
-          "compute_route: NI id out of range");
-  require(src != dst, "compute_route: src and dst NIs are the same");
-  const std::uint32_t from_sw = topo.ni(src).switch_id;
-  const std::uint32_t to_sw = topo.ni(dst).switch_id;
-
-  std::vector<std::uint32_t> links;
-  switch (algorithm) {
-    case RoutingAlgorithm::kShortestPath:
-      links = bfs_path(topo, classes, from_sw, to_sw);
-      break;
-    case RoutingAlgorithm::kXY:
-      links = xy_path(topo, from_sw, to_sw);
-      break;
-    case RoutingAlgorithm::kUpDown:
-      links = updown_path(topo, from_sw, to_sw);
-      break;
+    XPL_ASSERT(cur == to_sw);
   }
 
-  // Translate the link path into per-switch output-port selectors.
-  Route route;
-  std::uint32_t cur = from_sw;
-  for (const std::uint32_t l : links) {
-    const std::size_t port =
-        topo.output_index(cur, PortRef{PortRef::Kind::kLink, l});
-    XPL_ASSERT(port != Topology::npos);
-    route.push_back(static_cast<std::uint8_t>(port));
-    cur = topo.link(l).to;
-  }
-  // Final hop: exit the last switch toward the destination NI.
-  const std::size_t exit_port =
-      topo.output_index(cur, PortRef{PortRef::Kind::kNi, dst});
-  XPL_ASSERT(exit_port != Topology::npos);
-  route.push_back(static_cast<std::uint8_t>(exit_port));
-  return route;
-}
+  const Topology& topo_;
+  RoutingAlgorithm algorithm_;
+  std::size_t phases_ = 1;
+  std::vector<std::uint8_t> link_phase_;  ///< per link
+  std::vector<State> states_;             ///< per (switch, phase)
+  std::vector<std::uint32_t> first_;      ///< per switch: first state reached
+  std::vector<std::uint32_t> queue_;      ///< FIFO of states, never popped
+  std::uint32_t root_ = kNone;            ///< root of the current tree
+};
 
 }  // namespace
 
 Route compute_route(const Topology& topo, std::uint32_t src,
                     std::uint32_t dst, RoutingAlgorithm algorithm) {
-  return compute_route_indexed(topo, link_classes(topo), src, dst,
-                               algorithm);
+  require(src < topo.num_nis() && dst < topo.num_nis(),
+          "compute_route: NI id out of range");
+  require(src != dst, "compute_route: src and dst NIs are the same");
+  Route route;
+  RouteBuilder(topo, algorithm).append_route(src, dst, route);
+  return route;
 }
 
-const Route& RoutingTables::at(std::uint32_t src, std::uint32_t dst) const {
-  const auto it = routes.find({src, dst});
-  require(it != routes.end(), "RoutingTables: no route for pair");
-  return it->second;
-}
-
-std::size_t RoutingTables::max_hops() const {
-  std::size_t hops = 0;
-  for (const auto& [key, route] : routes) {
-    hops = std::max(hops, route.size());
-  }
-  return hops;
+RouteView RoutingTables::at(std::uint32_t src, std::uint32_t dst) const {
+  require(src < rows_.size() && dst < column_.size() &&
+              column_[dst] < rows_[src].count &&
+              dst_[rows_[src].first + column_[dst]] == dst,
+          "RoutingTables: no route for pair");
+  return route(rows_[src].first + column_[dst]);
 }
 
 RoutingTables compute_all_routes(const Topology& topo,
                                  RoutingAlgorithm algorithm) {
-  // One class table and one target list for the whole all-pairs table.
-  const std::vector<std::uint8_t> classes = link_classes(topo);
+  const std::vector<std::uint32_t> initiators = topo.initiator_ids();
   const std::vector<std::uint32_t> targets = topo.target_ids();
   RoutingTables tables;
-  for (const std::uint32_t ini : topo.initiator_ids()) {
-    for (const std::uint32_t tgt : targets) {
-      tables.routes[{ini, tgt}] =
-          compute_route_indexed(topo, classes, ini, tgt, algorithm);
-      tables.routes[{tgt, ini}] =
-          compute_route_indexed(topo, classes, tgt, ini, algorithm);
+  tables.rows_.resize(topo.num_nis());
+  tables.column_.resize(topo.num_nis());
+  for (std::uint32_t k = 0; k < initiators.size(); ++k) {
+    tables.column_[initiators[k]] = k;
+  }
+  for (std::uint32_t k = 0; k < targets.size(); ++k) {
+    tables.column_[targets[k]] = k;
+  }
+  const std::size_t pairs = 2 * initiators.size() * targets.size();
+  tables.dst_.reserve(pairs);
+  tables.offsets_.reserve(pairs + 1);
+  tables.offsets_.push_back(0);
+  // Rows are laid out by source switch, so each switch's tree is grown
+  // once whatever order the NIs were attached in.
+  std::vector<std::uint32_t> sources(topo.num_nis());
+  std::iota(sources.begin(), sources.end(), 0u);
+  std::stable_sort(sources.begin(), sources.end(), [&](auto a, auto b) {
+    return topo.ni(a).switch_id < topo.ni(b).switch_id;
+  });
+  RouteBuilder builder(topo, algorithm);
+  for (const std::uint32_t src : sources) {
+    const auto& dsts = topo.ni(src).initiator ? targets : initiators;
+    tables.rows_[src] = {static_cast<std::uint32_t>(tables.dst_.size()),
+                         static_cast<std::uint32_t>(dsts.size())};
+    for (const std::uint32_t dst : dsts) {
+      const std::size_t begin = tables.ports_.size();
+      builder.append_route(src, dst, tables.ports_);
+      tables.max_hops_ =
+          std::max(tables.max_hops_, tables.ports_.size() - begin);
+      tables.dst_.push_back(dst);
+      tables.offsets_.push_back(
+          static_cast<std::uint32_t>(tables.ports_.size()));
     }
   }
   return tables;
@@ -303,7 +256,7 @@ RoutingTables compute_all_routes(const Topology& topo,
 
 std::vector<std::uint8_t> dateline_route_vcs(const Topology& topo,
                                              std::uint32_t src,
-                                             const Route& route,
+                                             RouteView route,
                                              std::size_t vcs) {
   std::vector<std::uint8_t> lanes;
   std::uint32_t cur = topo.ni(src).switch_id;
@@ -333,7 +286,7 @@ std::vector<std::uint8_t> dateline_route_vcs(const Topology& topo,
 
 std::vector<std::uint32_t> route_switch_path(const Topology& topo,
                                              std::uint32_t src,
-                                             const Route& route) {
+                                             RouteView route) {
   std::vector<std::uint32_t> path;
   std::uint32_t cur = topo.ni(src).switch_id;
   path.push_back(cur);

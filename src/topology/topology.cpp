@@ -88,6 +88,7 @@ const NiNode& Topology::ni(std::uint32_t id) const {
 
 std::vector<std::uint32_t> Topology::initiator_ids() const {
   std::vector<std::uint32_t> out;
+  out.reserve(nis_.size());
   for (std::uint32_t i = 0; i < nis_.size(); ++i) {
     if (nis_[i].initiator) out.push_back(i);
   }
@@ -96,6 +97,7 @@ std::vector<std::uint32_t> Topology::initiator_ids() const {
 
 std::vector<std::uint32_t> Topology::target_ids() const {
   std::vector<std::uint32_t> out;
+  out.reserve(nis_.size());
   for (std::uint32_t i = 0; i < nis_.size(); ++i) {
     if (!nis_[i].initiator) out.push_back(i);
   }

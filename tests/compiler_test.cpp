@@ -106,7 +106,10 @@ void expect_same_report(const SynthesisReport& got,
   EXPECT_EQ(got.min_fmax_mhz, want.min_fmax_mhz);
 }
 
-TEST(Compiler, EstimateOfBuiltNetworkMatchesSpecEstimate) {
+// estimate() and emit_systemc() of a built network match the spec
+// overloads, before and after the network simulates: one elaboration can
+// serve every view (xpipesc relies on it).
+TEST(Compiler, ViewsOfBuiltNetworkMatchSpecViews) {
   XpipesCompiler xpipes;
   NocSpec xy = mesh_spec(3, 3);
 
@@ -125,10 +128,12 @@ TEST(Compiler, EstimateOfBuiltNetworkMatchesSpecEstimate) {
   for (const NocSpec* spec : {&xy, &torus, &sized}) {
     SCOPED_TRACE(spec->name);
     const SynthesisReport want = xpipes.estimate(*spec, 800.0, 0.2);
+    const auto want_files = xpipes.emit_systemc(*spec);
     auto net = xpipes.build_simulation(*spec);
     expect_same_report(xpipes.estimate(*net, 800.0, 0.2), want);
+    EXPECT_EQ(xpipes.emit_systemc(*net, spec->name), want_files);
 
-    // Simulate and drain: the estimate reads nothing that simulation
+    // Simulate and drain: neither view reads anything that simulation
     // changes.
     traffic::TrafficConfig tcfg;
     tcfg.injection_rate = 0.1;
@@ -138,6 +143,7 @@ TEST(Compiler, EstimateOfBuiltNetworkMatchesSpecEstimate) {
     ASSERT_TRUE(net->quiescent());
     ASSERT_GT(driver.injected(), 0u);
     expect_same_report(xpipes.estimate(*net, 800.0, 0.2), want);
+    EXPECT_EQ(xpipes.emit_systemc(*net, spec->name), want_files);
   }
   const auto torus_net = xpipes.build_simulation(torus);
   EXPECT_EQ(torus_net->switch_at(0).config().vc_map,
@@ -196,11 +202,12 @@ TEST(Emitter, RoutesFileCarriesComputedRoutes) {
   const auto& routes = files.at("xpipes_routes.h");
   auto net = xpipes.build_simulation(spec);
   // Every pair in the routing tables appears as a named array.
-  for (const auto& [pair, route] : net->routes().routes) {
-    const std::string name = "xpipes_route_" + std::to_string(pair.first) +
-                             "_" + std::to_string(pair.second);
+  net->routes().for_each([&](std::uint32_t src, std::uint32_t dst,
+                              RouteView) {
+    const std::string name = "xpipes_route_" + std::to_string(src) + "_" +
+                             std::to_string(dst);
     EXPECT_NE(routes.find(name), std::string::npos) << name;
-  }
+  });
 }
 
 TEST(Emitter, TopInstantiatesEverything) {

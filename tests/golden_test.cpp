@@ -11,6 +11,8 @@
 // under `scheduler full` against the same bytes. switch_alloc.txt (the
 // SwitchGolden matrix) pins switch allocation across the allocator
 // configurations; it predates the request-bitmask switch allocator.
+// routes.txt (RoutesGolden) pins every all-pairs route table the router
+// produces; it predates the single-source-tree route store.
 //
 // Regenerating (only when an intentional behaviour change is reviewed):
 //   XPL_UPDATE_GOLDEN=1 ./golden_test
@@ -24,12 +26,14 @@
 #include <string>
 
 #include "src/compiler/compiler.hpp"
+#include "src/common/rng.hpp"
 #include "src/compiler/spec_io.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/checkpoint.hpp"
 #include "src/sweep/runner.hpp"
 #include "src/sweep/spec.hpp"
 #include "src/topology/generators.hpp"
+#include "src/topology/routing.hpp"
 #include "src/traffic/traffic.hpp"
 #include "src/workload/trace.hpp"
 
@@ -444,6 +448,94 @@ TEST(SwitchGolden, AllocationMatrixIsByteStable) {
   std::string bytes;
   for (const SwitchCase& c : cases) bytes += switch_case_summary(c, 1500);
   expect_golden("switch_alloc.txt", bytes);
+}
+
+// ---- All-pairs route tables: every (src, dst, ports) the router emits
+// on the named generators under each algorithm they support, the paper's
+// case study, and random irregular topologies whose chords carry a second
+// vc_class (so class-monotone shortest paths have phases to respect).
+
+topology::Topology random_route_topology(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t switches = 3 + rng.next_below(8);
+  topology::Topology topo;
+  for (std::size_t s = 0; s < switches; ++s) topo.add_switch();
+  // A class-0 spanning tree keeps every switch reachable by a
+  // class-monotone path; chords take class 0 or 1.
+  for (std::uint32_t s = 1; s < switches; ++s) {
+    topo.add_duplex(static_cast<std::uint32_t>(rng.next_below(s)), s);
+  }
+  const std::size_t chords = rng.next_below(6);
+  for (std::size_t c = 0; c < chords; ++c) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(switches));
+    const auto b = static_cast<std::uint32_t>(rng.next_below(switches));
+    if (a == b) continue;
+    topo.add_duplex(a, b, 0, static_cast<std::uint8_t>(rng.next_below(2)));
+  }
+  for (std::uint32_t s = 0; s < switches; ++s) {
+    topo.attach_initiator(s);
+    topo.attach_target(s);
+  }
+  return topo;
+}
+
+std::string route_table_dump(const std::string& name,
+                             const topology::Topology& topo,
+                             topology::RoutingAlgorithm algorithm) {
+  const auto tables = topology::compute_all_routes(topo, algorithm);
+  std::ostringstream os;
+  os << "case " << name << " " << topology::routing_name(algorithm)
+     << " max_hops " << tables.max_hops() << "\n";
+  for (std::uint32_t src = 0; src < topo.num_nis(); ++src) {
+    for (std::uint32_t dst = 0; dst < topo.num_nis(); ++dst) {
+      if (topo.ni(src).initiator == topo.ni(dst).initiator) continue;
+      os << "  " << src << " " << dst << ":";
+      for (const std::uint8_t port : tables.at(src, dst)) {
+        os << " " << static_cast<unsigned>(port);
+      }
+      os << "\n";
+    }
+  }
+  return os.str();
+}
+
+TEST(RoutesGolden, AllPairsTablesAreByteStable) {
+  using topology::NiPlan;
+  using topology::RoutingAlgorithm;
+  const auto mesh = topology::make_mesh(4, 4, NiPlan::uniform(16, 1, 1));
+  const auto case_study = topology::make_paper_case_study();
+  std::string bytes;
+  bytes += route_table_dump("mesh4x4", mesh, RoutingAlgorithm::kXY);
+  bytes += route_table_dump("mesh4x4", mesh, RoutingAlgorithm::kShortestPath);
+  bytes += route_table_dump(
+      "torus4x4", topology::make_torus(4, 4, NiPlan::uniform(16, 1, 1)),
+      RoutingAlgorithm::kShortestPath);
+  bytes += route_table_dump(
+      "spidergon8", topology::make_spidergon(8, NiPlan::uniform(8, 1, 1)),
+      RoutingAlgorithm::kShortestPath);
+  bytes += route_table_dump("cmesh3x3c2", topology::make_cmesh(3, 3, 2),
+                            RoutingAlgorithm::kShortestPath);
+  bytes += route_table_dump("cmesh3x3c2", topology::make_cmesh(3, 3, 2),
+                            RoutingAlgorithm::kXY);
+  bytes += route_table_dump(
+      "ring6", topology::make_ring(6, NiPlan::uniform(6, 1, 1)),
+      RoutingAlgorithm::kUpDown);
+  bytes += route_table_dump(
+      "star5", topology::make_star(5, NiPlan::uniform(6, 1, 1)),
+      RoutingAlgorithm::kUpDown);
+  bytes += route_table_dump(
+      "tree3", topology::make_binary_tree(3, NiPlan::uniform(7, 1, 1)),
+      RoutingAlgorithm::kUpDown);
+  bytes += route_table_dump("case_study", case_study, RoutingAlgorithm::kXY);
+  bytes += route_table_dump("case_study", case_study,
+                            RoutingAlgorithm::kShortestPath);
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    const auto topo = random_route_topology(2000 + seed);
+    const std::string name = "random" + std::to_string(seed);
+    bytes += route_table_dump(name, topo, RoutingAlgorithm::kShortestPath);
+    bytes += route_table_dump(name, topo, RoutingAlgorithm::kUpDown);
+  }
+  expect_golden("routes.txt", bytes);
 }
 
 }  // namespace

@@ -38,6 +38,8 @@ struct Harness {
 
   static constexpr std::uint32_t kIniNode = 0;
   static constexpr std::uint32_t kTgtNode = 1;
+  // The LUTs view their routes; this storage outlives every harness.
+  static inline const Route kDirectRoute{0};
 
   explicit Harness(std::size_t flit_width = 32)
       : m_wires(ocp::OcpWires::make(kernel)),
@@ -49,8 +51,8 @@ struct Harness {
         tgt("tgt", tgt_config(flit_width), s_wires, req_wires, resp_wires),
         slave("slave", s_wires, slave_config()) {
     ini.lut().add_range({0x10000, 0x10000, kTgtNode});
-    ini.lut().set_route(kTgtNode, Route{0});
-    tgt.lut().set_route(kIniNode, Route{0});
+    ini.lut().set_route(kTgtNode, kDirectRoute);
+    tgt.lut().set_route(kIniNode, kDirectRoute);
     kernel.add_module(master);
     kernel.add_module(ini);
     kernel.add_module(tgt);

@@ -1,18 +1,55 @@
 // Source-route computation: validity, shortest paths, XY discipline,
-// up*/down* legality.
+// up*/down* legality, and the all-pairs table's allocation bound. The
+// table's bytes are pinned by RoutesGolden in golden_test.
 #include "src/topology/routing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
+
+// Global allocation counter: every operator new bumps g_allocs, so a test
+// can count what one call allocates.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// std::stable_sort's buffer comes from the nothrow form; it must pair with
+// the free() below too.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+// std::free is the matched deallocator for the malloc above; GCC's
+// -Wmismatched-new-delete cannot see that through a replaced operator new.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace xpl::topology {
 namespace {
 
 // Walks `route` from NI `src` and returns the NI it ejects at, or throws.
 std::uint32_t walk_route(const Topology& topo, std::uint32_t src,
-                         const Route& route) {
+                         RouteView route) {
   std::uint32_t cur = topo.ni(src).switch_id;
   for (std::size_t hop = 0; hop < route.size(); ++hop) {
     const auto ports = topo.output_ports(cur);
@@ -135,7 +172,7 @@ TEST(Routing, AllRoutesTablesComplete) {
   const auto tables = compute_all_routes(t, RoutingAlgorithm::kXY);
   const auto inis = t.initiator_ids();
   const auto tgts = t.target_ids();
-  EXPECT_EQ(tables.routes.size(), 2 * inis.size() * tgts.size());
+  EXPECT_EQ(tables.size(), 2 * inis.size() * tgts.size());
   for (const auto i : inis) {
     for (const auto g : tgts) {
       EXPECT_EQ(walk_route(t, i, tables.at(i, g)), g);
@@ -200,21 +237,33 @@ TEST_P(RoutingSweep, EveryPairRoutes) {
   }
 }
 
-// The adjacency-indexed all-pairs builder must produce byte-identical
-// routes to per-pair compute_route (which also answers for the pre-index
-// behaviour: link exploration order is link-insertion order in both).
-TEST(Routing, AllRoutesMatchPerPairComputation) {
-  for (const auto algorithm :
-       {RoutingAlgorithm::kShortestPath, RoutingAlgorithm::kUpDown}) {
-    for (const auto& topo :
-         {make_mesh(4, 4, NiPlan::uniform(16, 1, 1)),
-          make_ring(6, NiPlan::uniform(6, 1, 1)),
-          make_star(5, NiPlan::uniform(6, 1, 1))}) {
-      const RoutingTables tables = compute_all_routes(topo, algorithm);
-      for (const auto& [key, route] : tables.routes) {
-        EXPECT_EQ(route,
-                  compute_route(topo, key.first, key.second, algorithm));
-      }
+TEST(Routing, TableRejectsPairsItDoesNotHold) {
+  const auto t = make_mesh(2, 2, NiPlan::uniform(4, 1, 1));
+  const auto tables = compute_all_routes(t, RoutingAlgorithm::kXY);
+  const auto inis = t.initiator_ids();
+  const auto tgts = t.target_ids();
+  EXPECT_THROW(tables.at(inis[0], inis[1]), Error);  // same kind
+  EXPECT_THROW(tables.at(tgts[0], tgts[1]), Error);
+  EXPECT_THROW(tables.at(inis[0], t.num_nis()), Error);
+  EXPECT_THROW(RoutingTables{}.at(0, 1), Error);
+}
+
+// The table is one flat store grown a constant number of times, however
+// many pairs it holds: mesh16 and cmesh8x8c4 each carry 131,072 routes.
+TEST(Routing, AllRoutesAllocateFewerTimesThanSwitches) {
+  const Topology mesh16 = make_mesh(16, 16, NiPlan::uniform(256, 1, 1));
+  const Topology cmesh = make_cmesh(8, 8, 4);
+  for (const Topology* topo : {&mesh16, &cmesh}) {
+    for (const auto algorithm :
+         {RoutingAlgorithm::kShortestPath, RoutingAlgorithm::kXY,
+          RoutingAlgorithm::kUpDown}) {
+      const std::uint64_t before = g_allocs.load();
+      const RoutingTables tables = compute_all_routes(*topo, algorithm);
+      const std::uint64_t allocs = g_allocs.load() - before;
+      EXPECT_EQ(tables.size(), 131072u);
+      EXPECT_LT(allocs, topo->num_switches())
+          << topo->num_switches() << " switches, "
+          << routing_name(algorithm);
     }
   }
 }

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "src/compiler/compiler.hpp"
@@ -132,8 +133,16 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
 
+    // One elaboration serves every view: estimate() and emit_systemc()
+    // read only what construction fixed, so simulating last changes
+    // neither.
+    std::unique_ptr<noc::Network> net;
+    if (estimate_mhz > 0 || !emit_dir.empty() || simulate_cycles > 0) {
+      net = xpipes.build_simulation(spec);
+    }
+
     if (estimate_mhz > 0) {
-      const auto report = xpipes.estimate(spec, estimate_mhz);
+      const auto report = xpipes.estimate(*net, estimate_mhz);
       std::printf("\nsynthesis report @%.0f MHz:\n", estimate_mhz);
       std::printf("  %-16s %-14s %-10s %-10s %-10s\n", "instance", "kind",
                   "area_mm2", "power_mW", "fmax_MHz");
@@ -150,13 +159,13 @@ int main(int argc, char** argv) {
     }
 
     if (!emit_dir.empty()) {
-      xpipes.write_systemc(spec, emit_dir);
+      const auto files = xpipes.emit_systemc(*net, spec.name);
+      compiler::XpipesCompiler::write_systemc(files, emit_dir);
       std::printf("\nsynthesis view written to %s/ (%zu files)\n",
-                  emit_dir.c_str(), xpipes.emit_systemc(spec).size());
+                  emit_dir.c_str(), files.size());
     }
 
     if (simulate_cycles > 0) {
-      auto net = xpipes.build_simulation(spec);
       traffic::TrafficConfig tcfg;
       tcfg.injection_rate = rate;
       traffic::TrafficDriver driver(*net, tcfg);
