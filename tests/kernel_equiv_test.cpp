@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/sweep/runner.hpp"
@@ -211,27 +214,64 @@ TEST(KernelEquiv, CampaignExportsAreSchedulerInvariant) {
 /// recorder taps master push_transaction, whose content and timing are
 /// driver-determined, and completion draining must not differ.
 TEST(KernelEquiv, RecordedTraceBytesAreSchedulerInvariant) {
-  auto record = [](sim::Scheduler scheduler) {
+  auto make_net = [](sim::Scheduler scheduler) {
     noc::NetworkConfig cfg;
     cfg.routing = topology::RoutingAlgorithm::kXY;
     cfg.target_window = 1 << 12;
     cfg.scheduler = scheduler;
-    noc::Network net(
+    return std::make_unique<noc::Network>(
         topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)), cfg);
+  };
+  // Returns the recorded trace and the live run's statistics.
+  auto record = [&](sim::Scheduler scheduler) {
+    auto net = make_net(scheduler);
     traffic::TrafficConfig tcfg;
     tcfg.injection_rate = 0.08;
     tcfg.burstiness = 0.4;
     tcfg.seed = 99;
-    workload::TraceRecorder recorder(net, "equiv");
-    traffic::TrafficDriver driver(net, tcfg);
+    workload::TraceRecorder recorder(*net, "equiv");
+    traffic::TrafficDriver driver(*net, tcfg);
     driver.run(600);
-    net.run_until_quiescent(20000);
-    return workload::write_trace(recorder.trace());
+    net->run_until_quiescent(20000);
+    return std::make_pair(recorder.trace(),
+                          traffic::collect_run(*net, 600).to_string());
   };
-  const std::string full = record(sim::Scheduler::kFull);
-  const std::string leap = record(sim::Scheduler::kTimeLeap);
-  ASSERT_FALSE(full.empty());
-  EXPECT_EQ(full, leap);
+  const auto [recorded, live_stats] = record(sim::Scheduler::kFull);
+  const std::string full = workload::write_trace(recorded);
+  ASSERT_FALSE(recorded.entries.empty());
+  EXPECT_EQ(workload::write_trace(record(sim::Scheduler::kTimeLeap).first),
+            full);
+
+  // Replaying the recording under either scheduler, in run() spans or
+  // with replay(), re-records the same bytes and the live statistics. So
+  // does every replay of a sparse trace, whose gaps the time-leap kernel
+  // leaps whole.
+  const workload::Trace sparse =
+      testsupport::sparse_trace(4, 4, "equiv_sparse");
+  const auto sparse_want = std::make_pair(
+      workload::write_trace(sparse),
+      testsupport::replay_rerecorded(*make_net(sim::Scheduler::kFull), sparse,
+                                     {}, 15000)
+          .second);
+  for (const sim::Scheduler scheduler :
+       {sim::Scheduler::kFull, sim::Scheduler::kTimeLeap}) {
+    for (const bool spans : {true, false}) {
+      SCOPED_TRACE(std::string(sim::scheduler_name(scheduler)) +
+                   (spans ? " run() spans" : " replay()"));
+      EXPECT_EQ(testsupport::replay_rerecorded(
+                    *make_net(scheduler), recorded,
+                    spans ? std::vector<std::size_t>{1, 99, 200, 300}
+                          : std::vector<std::size_t>{},
+                    600),
+                std::make_pair(full, live_stats));
+      EXPECT_EQ(testsupport::replay_rerecorded(
+                    *make_net(scheduler), sparse,
+                    spans ? std::vector<std::size_t>{1, 2499, 5277, 7223}
+                          : std::vector<std::size_t>{},
+                    15000),
+                sparse_want);
+    }
+  }
 }
 
 /// Sanity that the optimization is real: at low load the event-driven

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/link/flow.hpp"
@@ -244,28 +246,59 @@ TEST(PartitionInvariance, RecordedTraceIsByteIdentical) {
   // A trace recorded during a partitioned run (pre-rolled injections
   // carry explicit release cycles) serializes to the same bytes as one
   // recorded unpartitioned.
-  auto record = [](std::size_t partitions, std::size_t threads) {
-    DiffScenario s;
-    s.topology = "mesh";
-    s.width = 3;
-    s.height = 3;
-    noc::Network net(
+  DiffScenario s;
+  s.topology = "mesh";
+  s.width = 3;
+  s.height = 3;
+  auto make_net = [&](std::size_t partitions, std::size_t threads) {
+    return std::make_unique<noc::Network>(
         s.build_topology(),
         s.net_config(sim::Scheduler::kTimeLeap, partitions, threads));
+  };
+  // Returns the recorded trace and the live run's statistics.
+  auto record = [&](std::size_t partitions, std::size_t threads) {
+    auto net = make_net(partitions, threads);
     traffic::TrafficConfig tcfg;
     tcfg.injection_rate = 0.08;
     tcfg.burstiness = 0.4;
     tcfg.seed = 99;
-    workload::TraceRecorder recorder(net, "part");
-    traffic::TrafficDriver driver(net, tcfg);
+    workload::TraceRecorder recorder(*net, "part");
+    traffic::TrafficDriver driver(*net, tcfg);
     driver.run(400);
-    net.run_until_quiescent(20000);
-    return workload::write_trace(recorder.trace());
+    net->run_until_quiescent(20000);
+    return std::make_pair(recorder.trace(),
+                          traffic::collect_run(*net, 400).to_string());
   };
-  const std::string base = record(1, 1);
-  ASSERT_FALSE(base.empty());
-  EXPECT_EQ(record(2, 2), base);
-  EXPECT_EQ(record(4, 4), base);
+  const auto [recorded, live_stats] = record(1, 1);
+  const std::string base = workload::write_trace(recorded);
+  ASSERT_FALSE(recorded.entries.empty());
+  EXPECT_EQ(workload::write_trace(record(2, 2).first), base);
+  EXPECT_EQ(workload::write_trace(record(4, 4).first), base);
+
+  // Replays on 4 partitions x 2 threads, in run() spans or with
+  // replay(), re-record the same bytes and statistics as the live run;
+  // a sparse trace replays there exactly as it does unpartitioned.
+  const workload::Trace sparse =
+      testsupport::sparse_trace(9, 9, "part_sparse");
+  const auto sparse_want = std::make_pair(
+      workload::write_trace(sparse),
+      testsupport::replay_rerecorded(*make_net(1, 1), sparse, {}, 15000)
+          .second);
+  for (const bool spans : {true, false}) {
+    SCOPED_TRACE(spans ? "run() spans" : "replay()");
+    EXPECT_EQ(testsupport::replay_rerecorded(
+                  *make_net(4, 2), recorded,
+                  spans ? std::vector<std::size_t>{1, 99, 300}
+                        : std::vector<std::size_t>{},
+                  400),
+              std::make_pair(base, live_stats));
+    EXPECT_EQ(testsupport::replay_rerecorded(
+                  *make_net(4, 2), sparse,
+                  spans ? std::vector<std::size_t>{1, 2499, 5277, 7223}
+                        : std::vector<std::size_t>{},
+                  15000),
+              sparse_want);
+  }
 }
 
 TEST(PartitionInvariance, CampaignExportsAreByteIdentical) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -38,6 +39,7 @@
 #include "src/topology/generators.hpp"
 #include "src/traffic/stats.hpp"
 #include "src/traffic/traffic.hpp"
+#include "src/workload/trace.hpp"
 
 namespace xpl::testsupport {
 
@@ -441,6 +443,47 @@ inline DiffResult run_differential_shrunk(const DiffScenario& scenario) {
     return shrunk;
   }
   return result;  // shrinking raced a flaky repro; report the original
+}
+
+/// A trace whose entries lie thousands of cycles apart, for
+/// `initiators` x `targets` cores: replay must leap its gaps without
+/// moving an entry. Every entry is due before cycle 15000.
+inline workload::Trace sparse_trace(std::uint32_t initiators,
+                                    std::uint32_t targets,
+                                    const std::string& name) {
+  workload::Trace trace;
+  trace.name = name;
+  trace.initiators = initiators;
+  trace.targets = targets;
+  trace.entries = {
+      {0, 0, 1, ocp::Cmd::kRead, 0, 1, 0},
+      {0, 2, 3, ocp::Cmd::kWrite, 64, 4, 1},
+      {2500, 1, 0, ocp::Cmd::kWriteNp, 4000, 2, 2},
+      {7777, 3, 2, ocp::Cmd::kRead, 8, 3, 3},
+      {7777, 0, 1, ocp::Cmd::kWrite, 8, 2, 0},
+      {14000, initiators - 1, targets - 1, ocp::Cmd::kRead, 128, 4, 0},
+  };
+  return trace;
+}
+
+/// Replays `trace` on `net` through a TraceDriver while re-recording it:
+/// one run() per entry of `spans` and then a drain, or replay() when
+/// `spans` is empty. Returns the re-recorded trace bytes and
+/// collect_run(net, stats_cycles), which every replay of one trace must
+/// reproduce.
+inline std::pair<std::string, std::string> replay_rerecorded(
+    noc::Network& net, const workload::Trace& trace,
+    const std::vector<std::size_t>& spans, std::uint64_t stats_cycles) {
+  workload::TraceRecorder recorder(net, trace.name);
+  workload::TraceDriver driver(net, trace);
+  if (spans.empty()) {
+    driver.replay(20000);
+  } else {
+    for (const std::size_t span : spans) driver.run(span);
+    net.run_until_quiescent(20000);
+  }
+  return {workload::write_trace(recorder.trace()),
+          traffic::collect_run(net, stats_cycles).to_string()};
 }
 
 }  // namespace xpl::testsupport
