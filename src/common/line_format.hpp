@@ -1,8 +1,8 @@
-// Shared lexing for the line-oriented text formats (.noc, .sweep, .tune,
-// .ckpt): one tokenizer and one pair of strict number parsers, so every
-// reader rejects the same malformed numbers. Each reader keeps its own
-// error prefix ("spec", "sweep", "tune", "checkpoint"); errors read
-// "<format> line <n>: <what>".
+// Shared lexing for the line-oriented text formats (.noc, .sweep, .trace,
+// .tune, .ckpt): one tokenizer and one pair of strict number parsers, so
+// every reader rejects the same malformed numbers. Each reader keeps its
+// own error prefix ("spec", "sweep", "trace", "tune", "checkpoint");
+// errors read "<format> line <n>: <what>".
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <numeric>
 
 namespace xpl::topology {
@@ -21,14 +22,19 @@ const char* routing_name(RoutingAlgorithm algorithm) {
 namespace {
 
 constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+constexpr std::uint8_t kNoPhase = 0xFF;  ///< a link no path may take
 
-// Appends routes to a flat port array. The BFS algorithms keep the search
-// tree of the last source switch in scratch buffers reused by every tree.
+bool on_grid(const SwitchNode& node) { return node.x >= 0 && node.y >= 0; }
+
+// Appends routes to a flat port array. Every algorithm is the one BFS
+// under its own link phases; the search tree of the last source switch
+// stays in scratch buffers reused by every tree.
 class RouteBuilder {
  public:
   RouteBuilder(const Topology& topo, RoutingAlgorithm algorithm)
       : topo_(topo), algorithm_(algorithm), first_(topo.num_switches()) {
     if (algorithm == RoutingAlgorithm::kShortestPath) set_class_phases();
+    if (algorithm == RoutingAlgorithm::kXY) set_xy_phases();
     if (algorithm == RoutingAlgorithm::kUpDown) set_updown_phases();
   }
 
@@ -36,12 +42,12 @@ class RouteBuilder {
                     std::vector<std::uint8_t>& out) {
     const std::uint32_t from_sw = topo_.ni(src).switch_id;
     const std::uint32_t to_sw = topo_.ni(dst).switch_id;
-    if (algorithm_ == RoutingAlgorithm::kXY) {
-      append_xy_path(from_sw, to_sw, out);
-    } else {
-      if (from_sw != root_) grow_tree(from_sw);
-      append_tree_path(to_sw, out);
-    }
+    require(algorithm_ != RoutingAlgorithm::kXY ||
+                (on_grid(topo_.switch_node(from_sw)) &&
+                 on_grid(topo_.switch_node(to_sw))),
+            "compute_route: XY routing needs grid coordinates");
+    if (from_sw != root_) grow_tree(from_sw);
+    append_tree_path(to_sw, out);
     // Final hop: exit the last switch toward the destination NI.
     const std::size_t exit_port =
         topo_.output_index(to_sw, PortRef{PortRef::Kind::kNi, dst});
@@ -77,6 +83,24 @@ class RouteBuilder {
     phases_ = std::max<std::size_t>(classes, 1);
     for (std::uint32_t l = 0; l < topo_.num_links(); ++l) {
       link_phase_.push_back(rank[topo_.link(l).vc_class]);
+    }
+  }
+
+  // Dimension-order (XY) phases: unit +-x grid links are phase 0 and
+  // unit +-y grid links phase 1, so paths take all X steps, then all Y
+  // steps. Any other link (a torus wrap, a link off the grid) is never
+  // taken, and the one phase-monotone shortest path left is the
+  // dimension-order walk.
+  void set_xy_phases() {
+    phases_ = 2;
+    for (std::uint32_t l = 0; l < topo_.num_links(); ++l) {
+      const SwitchNode& from = topo_.switch_node(topo_.link(l).from);
+      const SwitchNode& to = topo_.switch_node(topo_.link(l).to);
+      const int dx = std::abs(to.x - from.x);
+      const int dy = std::abs(to.y - from.y);
+      std::uint8_t phase = kNoPhase;
+      if (on_grid(from) && on_grid(to) && dx + dy == 1) phase = dx ? 0 : 1;
+      link_phase_.push_back(phase);
     }
   }
 
@@ -123,7 +147,8 @@ class RouteBuilder {
           topo_.out_links(static_cast<std::uint32_t>(s / phases_));
       for (std::size_t port = 0; port < links.size(); ++port) {
         const std::uint8_t link_phase = link_phase_[links[port]];
-        if (link_phase < phase) continue;  // phases never decrease
+        // Phases never decrease, and kNoPhase links are never taken.
+        if (link_phase < phase || link_phase >= phases_) continue;
         const std::uint32_t to = topo_.link(links[port]).to;
         const auto next =
             static_cast<std::uint32_t>(to * phases_ + link_phase);
@@ -145,6 +170,8 @@ class RouteBuilder {
     require(last != kNone,
             algorithm_ == RoutingAlgorithm::kUpDown
                 ? "compute_route: no up*/down* path"
+            : algorithm_ == RoutingAlgorithm::kXY
+                ? "compute_route: grid link missing for XY step"
                 : "compute_route: destination switch unreachable by a "
                   "class-monotone path");
     const std::size_t begin = out.size();
@@ -153,33 +180,6 @@ class RouteBuilder {
     for (std::uint32_t s = last; hop > begin; s = states_[s].parent) {
       out[--hop] = states_[s].port;
     }
-  }
-
-  // Dimension-order: one grid step at a time, full X displacement, then
-  // Y. Requires coordinates and a grid link in the needed direction.
-  void append_xy_path(std::uint32_t cur, std::uint32_t to_sw,
-                      std::vector<std::uint8_t>& out) const {
-    const SwitchNode& goal = topo_.switch_node(to_sw);
-    for (;;) {
-      const SwitchNode& here = topo_.switch_node(cur);
-      require(here.x >= 0 && here.y >= 0 && goal.x >= 0 && goal.y >= 0,
-              "compute_route: XY routing needs grid coordinates");
-      const int want_x = (goal.x > here.x) - (goal.x < here.x);
-      const int want_y =
-          want_x != 0 ? 0 : (goal.y > here.y) - (goal.y < here.y);
-      if (want_x == 0 && want_y == 0) break;
-      const std::vector<std::uint32_t>& links = topo_.out_links(cur);
-      const auto step = std::find_if(
-          links.begin(), links.end(), [&](std::uint32_t l) {
-            const SwitchNode& next = topo_.switch_node(topo_.link(l).to);
-            return next.x - here.x == want_x && next.y - here.y == want_y;
-          });
-      require(step != links.end(),
-              "compute_route: grid link missing for XY step");
-      out.push_back(static_cast<std::uint8_t>(step - links.begin()));
-      cur = topo_.link(*step).to;
-    }
-    XPL_ASSERT(cur == to_sw);
   }
 
   const Topology& topo_;

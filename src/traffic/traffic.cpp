@@ -1,8 +1,6 @@
 #include "src/traffic/traffic.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/error.hpp"
 
@@ -22,206 +20,87 @@ const char* pattern_name(Pattern pattern) {
   return "?";
 }
 
-const char* trace_cmd_name(ocp::Cmd cmd) {
-  switch (cmd) {
-    case ocp::Cmd::kRead:
-      return "read";
-    case ocp::Cmd::kWrite:
-      return "write";
-    case ocp::Cmd::kWriteNp:
-      return "writenp";
-    case ocp::Cmd::kIdle:
-      break;
-  }
-  throw Error("trace_cmd_name: kIdle has no trace mnemonic");
-}
-
-bool parse_trace_line(const std::string& line, std::size_t lineno,
-                      TraceEntry& out) {
-  std::string body = line;
-  const auto hash = body.find('#');
-  if (hash != std::string::npos) body.resize(hash);
-  std::istringstream ls(body);
-  TraceEntry entry;
-  std::string cmd;
-  if (!(ls >> entry.cycle)) return false;  // blank / comment-only line
-  if (!(ls >> entry.initiator >> entry.target >> cmd >> entry.addr_offset >>
-        entry.burst)) {
-    throw Error("trace line " + std::to_string(lineno) +
-                ": expected <cycle> <ini> <tgt> <cmd> <offset> <burst>");
-  }
-  if (cmd == "read") {
-    entry.cmd = ocp::Cmd::kRead;
-  } else if (cmd == "write") {
-    entry.cmd = ocp::Cmd::kWrite;
-  } else if (cmd == "writenp") {
-    entry.cmd = ocp::Cmd::kWriteNp;
-  } else {
-    throw Error("trace line " + std::to_string(lineno) +
-                ": unknown command '" + cmd + "'");
-  }
-  require(entry.burst >= 1,
-          "trace line " + std::to_string(lineno) + ": burst must be >= 1");
-  // Optional trailing thread id (defaults to 0); anything else is an
-  // error rather than silently ignored — a typo here would change
-  // per-thread response matching and therefore replay timing.
-  std::string tail;
-  if (ls >> tail) {
-    if (tail.find_first_not_of("0123456789") != std::string::npos) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": bad thread id '" + tail + "'");
-    }
-    unsigned long long thread = 0;
-    try {
-      thread = std::stoull(tail);
-    } catch (const std::out_of_range&) {
-      thread = 0xFFFFFFFFull + 1;  // force the range error below
-    }
-    require(thread <= 0xFFFFFFFFull, "trace line " +
-                                         std::to_string(lineno) +
-                                         ": thread id out of range");
-    entry.thread = static_cast<std::uint32_t>(thread);
-    std::string extra;
-    if (ls >> extra) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": unexpected trailing token '" + extra + "'");
-    }
-  }
-  out = entry;
-  return true;
-}
-
-std::vector<TraceEntry> parse_trace(const std::string& text) {
-  std::vector<TraceEntry> trace;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    TraceEntry entry;
-    if (!parse_trace_line(line, lineno, entry)) continue;
-    if (!trace.empty()) {
-      require(entry.cycle >= trace.back().cycle,
-              "trace line " + std::to_string(lineno) +
-                  ": cycles must be non-decreasing");
-    }
-    trace.push_back(entry);
-  }
-  return trace;
-}
-
-std::vector<TraceEntry> load_trace(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_trace: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_trace(text.str());
-}
-
-TracePlayer::TracePlayer(noc::Network& network, std::vector<TraceEntry> trace,
-                         PayloadFn payload)
-    : network_(network),
-      trace_(std::move(trace)),
-      payload_(std::move(payload)),
-      rng_(0xFEED) {
-  for (const TraceEntry& entry : trace_) {
-    require(entry.initiator < network.num_initiators(),
-            "TracePlayer: initiator index out of range");
-    require(entry.target < network.num_targets(),
-            "TracePlayer: target index out of range");
-    require(entry.burst <= network.config().max_burst,
-            "TracePlayer: burst exceeds network max_burst");
-    require(entry.thread < network.config().num_threads,
-            "TracePlayer: thread id exceeds network num_threads");
-  }
-  sim::Kernel& kernel = network_.kernel();
+Driver::Driver(noc::Network& network) : network_(network) {
+  sim::Kernel& kernel = network.kernel();
   use_injector_ = !kernel.partitioned() &&
                   kernel.scheduler() == sim::Scheduler::kTimeLeap;
   if (use_injector_) kernel.add_module(injector_);
 }
 
-void TracePlayer::roll_until(std::uint64_t kernel_limit) {
-  while (true) {
-    const std::uint64_t release = cycle_ + offset_;
-    if (release >= horizon_ || release > kernel_limit) break;
-    if (next_ < trace_.size() && trace_[next_].cycle <= cycle_) {
-      roll_cycle(release);
+void Driver::roll_next(std::uint64_t release) {
+  if (silent_ > 0) {
+    --silent_;
+    ++source_cycle_;
+    return;
+  }
+  silent_ = roll_cycle(source_cycle_++, release);
+}
+
+void Driver::roll_through(std::uint64_t through, bool ahead) {
+  while (rolled_next_ < horizon_ && (ahead || rolled_next_ <= through)) {
+    if (silent_ > 0) {
+      const std::uint64_t skip = std::min(silent_, horizon_ - rolled_next_);
+      silent_ -= skip;
+      source_cycle_ += skip;
+      rolled_next_ += skip;
       continue;
     }
-    // Entry-free stretch: jump the player clock (silent rolls are pure
-    // increments — no RNG draw, no injection).
-    std::uint64_t target = std::min<std::uint64_t>(kernel_limit + 1, horizon_);
-    if (next_ < trace_.size()) {
-      target = std::min(target, trace_[next_].cycle + offset_);
-    }
-    cycle_ = target - offset_;
+    const std::uint64_t before = injected_;
+    silent_ = roll_cycle(source_cycle_++, rolled_next_++);
+    if (ahead && rolled_next_ > through && injected_ != before) break;
   }
 }
 
-void TracePlayer::injector_tick(sim::Kernel& kernel) {
+void Driver::step() {
+  const std::uint64_t now = network_.kernel().cycle();
+  roll_next(now);
+  // Keep the injector's bookmark coherent when step() and run() mix.
+  rolled_next_ = std::max(rolled_next_, now + 1);
+}
+
+void Driver::injector_tick(std::uint64_t now) {
   if (!active_) return;
-  // Transactions released at cycle c must be queued before c begins (the
-  // masters tick earlier in module order), so roll through now + 1.
-  roll_until(kernel.cycle() + 1);
+  // Mandatory: cycle now + 1 must be rolled before its masters tick.
+  // Past that, keep rolling until a roll injects so next_event() can
+  // name the cycle before the next unrolled one — the kernel leaps the
+  // gap. Roll order is cycle order either way; the release gate in
+  // MasterCore makes early queuing unobservable.
+  roll_through(now + 1, /*ahead=*/true);
 }
 
-std::uint64_t TracePlayer::injector_next_event(std::uint64_t now) const {
-  if (!active_ || next_ >= trace_.size()) return sim::kNever;
-  const std::uint64_t release =
-      std::max(trace_[next_].cycle, cycle_) + offset_;
-  if (release >= horizon_) return sim::kNever;  // next run's business
-  // The entry must be queued by the tick before its release cycle.
-  return std::max(now + 1, release - 1);
+std::uint64_t Driver::injector_next_event(std::uint64_t now) const {
+  if (!active_ || rolled_next_ >= horizon_) return sim::kNever;
+  return std::max(now + 1, rolled_next_ - 1);
 }
 
-void TracePlayer::roll_cycle(std::uint64_t release) {
-  while (next_ < trace_.size() && trace_[next_].cycle <= cycle_) {
-    const TraceEntry& entry = trace_[next_];
-    ocp::Transaction txn;
-    txn.cmd = entry.cmd;
-    txn.addr = network_.target_base(entry.target) + entry.addr_offset;
-    txn.burst_len = entry.burst;
-    txn.thread_id = entry.thread;
-    if (entry.cmd != ocp::Cmd::kRead) {
-      txn.data.reserve(entry.burst);
-      for (std::uint32_t b = 0; b < entry.burst; ++b) {
-        txn.data.push_back(payload_ ? payload_(next_, b)
-                                    : rng_.next_u64());
-      }
-    }
-    network_.master(entry.initiator)
-        .push_transaction_at(std::move(txn), release);
-    ++next_;
-  }
-  ++cycle_;
-}
-
-void TracePlayer::step() { roll_cycle(network_.kernel().cycle()); }
-
-void TracePlayer::run(std::size_t cycles) {
+void Driver::run(std::size_t cycles) {
   if (use_injector_) {
     const std::uint64_t base = network_.kernel().cycle();
-    // Unsigned wrap-around is fine: only cycle_ + offset_ is ever read.
-    offset_ = base - cycle_;
+    rolled_next_ = std::max(rolled_next_, base);
     horizon_ = base + cycles;
-    // Entries due at `base` itself must be queued before the run starts.
-    roll_until(base);
+    // Injections released at `base` itself must be queued before the run
+    // starts: the masters tick before the injector within a cycle.
+    roll_through(base, /*ahead=*/false);
     active_ = true;
     injector_.wake();
     network_.step(cycles);
     active_ = false;
-    // Normalize the player clock across a leapt silent tail so the next
-    // run starts from the same player cycle as the per-cycle schedule.
-    if (cycle_ + offset_ < horizon_) cycle_ = horizon_ - offset_;
+    // Safety net: a run cut short of the injector's last wake (never in
+    // normal operation) still leaves the source's state and clock
+    // matching the per-cycle schedule.
+    roll_through(horizon_, /*ahead=*/false);
     return;
   }
+  // Epoch batching: pre-roll the injections for the whole conservative
+  // window (roll order is cycle order, as in the per-cycle schedule),
+  // then let the kernel run the epoch.
   const std::size_t k =
       std::max<std::size_t>(1, network_.kernel().lookahead());
   std::size_t done = 0;
   while (done < cycles) {
     const std::size_t n = std::min(k, cycles - done);
     const std::uint64_t base = network_.kernel().cycle();
-    for (std::size_t j = 0; j < n; ++j) roll_cycle(base + j);
+    for (std::size_t j = 0; j < n; ++j) roll_next(base + j);
     network_.step(n);
     done += n;
   }
@@ -229,7 +108,7 @@ void TracePlayer::run(std::size_t cycles) {
 
 TrafficDriver::TrafficDriver(noc::Network& network,
                              const TrafficConfig& config)
-    : network_(network), config_(config), rng_(config.seed) {
+    : Driver(network), config_(config), rng_(config.seed) {
   require(network.num_targets() > 0, "TrafficDriver: no targets");
   require(config.min_burst >= 1 && config.min_burst <= config.max_burst,
           "TrafficDriver: bad burst range");
@@ -261,10 +140,6 @@ TrafficDriver::TrafficDriver(noc::Network& network,
   }
   require(config.burstiness >= 0.0 && config.burstiness < 1.0,
           "TrafficDriver: burstiness must be in [0, 1)");
-  sim::Kernel& kernel = network.kernel();
-  use_injector_ = !kernel.partitioned() &&
-                  kernel.scheduler() == sim::Scheduler::kTimeLeap;
-  if (use_injector_) kernel.add_module(injector_);
   if (config.burstiness > 0.0) {
     require(config.avg_burst_cycles >= 1.0,
             "TrafficDriver: avg_burst_cycles must be >= 1");
@@ -325,7 +200,8 @@ std::size_t TrafficDriver::pick_target(std::size_t initiator) {
   return 0;
 }
 
-void TrafficDriver::roll_cycle(std::uint64_t release) {
+std::uint64_t TrafficDriver::roll_cycle(std::uint64_t /*cycle*/,
+                                        std::uint64_t release) {
   for (std::size_t i = 0; i < network_.num_initiators(); ++i) {
     if (!roll_injection(i)) continue;
     const std::size_t target = pick_target(i);
@@ -366,73 +242,7 @@ void TrafficDriver::roll_cycle(std::uint64_t release) {
     network_.master(i).push_transaction_at(std::move(txn), release);
     ++injected_;
   }
-}
-
-void TrafficDriver::step() {
-  roll_cycle(network_.kernel().cycle());
-  // Keep the injector's bookmark coherent when step() and run() mix.
-  rolled_next_ = std::max(rolled_next_, network_.kernel().cycle() + 1);
-}
-
-void TrafficDriver::injector_tick(sim::Kernel& kernel) {
-  if (!active_) return;
-  const std::uint64_t now = kernel.cycle();
-  // Mandatory: cycle now + 1 must be rolled before its masters tick.
-  // Past that, keep rolling silent cycles so next_event() can name the
-  // cycle before the next unrolled one — the kernel leaps the gap. RNG
-  // draw order is cycle order either way; the release gate in MasterCore
-  // makes early queuing unobservable.
-  while (rolled_next_ < horizon_) {
-    const std::uint64_t before = injected_;
-    roll_cycle(rolled_next_);
-    ++rolled_next_;
-    if (rolled_next_ > now + 1 && injected_ != before) break;
-  }
-}
-
-std::uint64_t TrafficDriver::injector_next_event(std::uint64_t now) const {
-  if (!active_ || rolled_next_ >= horizon_) return sim::kNever;
-  return std::max(now + 1, rolled_next_ - 1);
-}
-
-void TrafficDriver::run(std::size_t cycles) {
-  if (use_injector_) {
-    const std::uint64_t base = network_.kernel().cycle();
-    rolled_next_ = std::max(rolled_next_, base);
-    horizon_ = base + cycles;
-    // Injections released at `base` itself must be queued before the run
-    // starts: the masters tick before the injector within a cycle.
-    while (rolled_next_ <= base && rolled_next_ < horizon_) {
-      roll_cycle(rolled_next_);
-      ++rolled_next_;
-    }
-    active_ = true;
-    injector_.wake();
-    network_.step(cycles);
-    active_ = false;
-    // Safety net: a run cut short of the injector's last wake (never in
-    // normal operation) still leaves RNG state and injected() matching
-    // the per-cycle schedule.
-    while (rolled_next_ < horizon_) {
-      roll_cycle(rolled_next_);
-      ++rolled_next_;
-    }
-    return;
-  }
-  // Epoch batching: pre-roll the injections for the whole conservative
-  // window (RNG order is per cycle, per initiator — identical to the
-  // per-cycle schedule), then let the kernel run the epoch. The release
-  // gate in MasterCore makes issue timing bit-exact either way.
-  const std::size_t k =
-      std::max<std::size_t>(1, network_.kernel().lookahead());
-  std::size_t done = 0;
-  while (done < cycles) {
-    const std::size_t n = std::min(k, cycles - done);
-    const std::uint64_t base = network_.kernel().cycle();
-    for (std::size_t j = 0; j < n; ++j) roll_cycle(base + j);
-    network_.step(n);
-    done += n;
-  }
+  return 0;  // every cycle draws from the RNG
 }
 
 }  // namespace xpl::traffic

@@ -7,12 +7,11 @@
 // alongside the kernel and injects transactions at a configurable mean
 // rate, either memorylessly (Bernoulli) or in on/off bursts (two-state
 // Markov modulation — see TrafficConfig::burstiness). The workload layer
-// (src/workload/) builds app-benchmark and trace-replay scenarios on top.
+// (src/workload/) builds app-benchmark scenarios on top, and its trace
+// replay runs on the same injection engine (Driver).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -66,168 +65,112 @@ struct TrafficConfig {
   std::uint64_t seed = 42;
 };
 
-/// One scheduled transaction of a trace (trace-driven workloads: replay
-/// recorded traffic instead of synthetic patterns).
-struct TraceEntry {
-  std::uint64_t cycle = 0;      ///< injection cycle (non-decreasing)
-  std::uint32_t initiator = 0;  ///< initiator index
-  std::uint32_t target = 0;     ///< target index
-  ocp::Cmd cmd = ocp::Cmd::kRead;
-  std::uint64_t addr_offset = 0;  ///< within the target's window
-  std::uint32_t burst = 1;
-  /// OCP thread id. Part of the schedule: responses match per thread, so
-  /// replay timing is only faithful if the trace pins it.
-  std::uint32_t thread = 0;
-};
-
-/// Trace-body command mnemonic ("read" | "write" | "writenp") — the
-/// inverse of what parse_trace_line accepts. Throws on Cmd::kIdle.
-const char* trace_cmd_name(ocp::Cmd cmd);
-
-/// Parses one trace body line,
-///   <cycle> <initiator> <target> <read|write|writenp> <offset> <burst>
-///   [thread]
-/// ('#' starts a comment; the trailing OCP thread id defaults to 0) into
-/// `out`. Returns false for a blank or comment-only line; throws
-/// xpl::Error (tagged with `lineno`) on malformed content. Shared by
-/// parse_trace and the workload/ trace file format so the two can never
-/// drift apart.
-bool parse_trace_line(const std::string& line, std::size_t lineno,
-                      TraceEntry& out);
-
-/// Parses a text trace: one entry per line (parse_trace_line grammar).
-/// Entries must be sorted by non-decreasing cycle.
-std::vector<TraceEntry> parse_trace(const std::string& text);
-std::vector<TraceEntry> load_trace(const std::string& path);
-
-/// Replays a trace into a network; step once per cycle like TrafficDriver.
-/// Validates every entry against the network (initiator/target/thread
-/// ranges, burst fit) at construction. This is the one replay engine:
-/// workload::TraceDriver layers the trace *file* format and a seed-free
-/// payload policy on top of it.
+/// The one injection engine. TrafficDriver and workload::TraceDriver
+/// derive from it and supply only how one *source cycle* rolls; the
+/// engine decides when each source cycle rolls and at which kernel cycle
+/// its injections are released. Source cycles count the rolls, one per
+/// kernel cycle the driver steps or runs, so a source's clock pauses
+/// while the kernel runs without it.
 ///
-/// On an unpartitioned time-leap kernel the player registers a small
-/// injector module with the kernel so run() can hand the whole span to
-/// Kernel::run at once: the injector declares the next entry's cycle via
-/// next_event(), the kernel leaps the silent gaps, and the release gate
-/// in MasterCore keeps the issue schedule bit-exact (DESIGN.md §9).
-class TracePlayer {
- public:
-  /// Write payload for beat `beat` of entry `index`. The default (null)
-  /// draws from the player's fixed-seed RNG stream.
-  using PayloadFn =
-      std::function<std::uint64_t(std::size_t index, std::uint32_t beat)>;
-
-  TracePlayer(noc::Network& network, std::vector<TraceEntry> trace,
-              PayloadFn payload = nullptr);
-
-  void step();
-  /// Steps player and network together. On a partitioned network the
-  /// injections for each lookahead epoch are pre-rolled (released at
-  /// their exact cycles via push_transaction_at), so replay timing is
-  /// identical at any partition/thread count.
-  void run(std::size_t cycles);
-  /// True when every entry has been injected.
-  bool done() const { return next_ == trace_.size(); }
-  std::uint64_t injected() const { return next_; }
-
- private:
-  /// Schedulable face of the player (time-leap runs only): ticks after
-  /// every network module, rolling the player far enough ahead that any
-  /// transaction released at cycle c is queued before c begins. Inert
-  /// (next_event() == kNever) outside run().
-  class Injector : public sim::Module {
-   public:
-    explicit Injector(TracePlayer& owner)
-        : sim::Module("trace_player.injector"), owner_(owner) {}
-    void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
-    std::uint64_t next_event(std::uint64_t now) const override {
-      return owner_.injector_next_event(now);
-    }
-
-   private:
-    TracePlayer& owner_;
-  };
-
-  /// Injects the entries of player-cycle `cycle_`, released at `release`
-  /// (the matching kernel cycle), then advances the player clock.
-  void roll_cycle(std::uint64_t release);
-  /// Rolls player cycles whose kernel release is <= `kernel_limit` (and
-  /// below the run horizon), bulk-skipping entry-free stretches — silent
-  /// rolls draw no RNG, so the skip is unobservable.
-  void roll_until(std::uint64_t kernel_limit);
-  void injector_tick(sim::Kernel& kernel);
-  std::uint64_t injector_next_event(std::uint64_t now) const;
-
-  noc::Network& network_;
-  std::vector<TraceEntry> trace_;
-  PayloadFn payload_;
-  std::size_t next_ = 0;
-  std::uint64_t cycle_ = 0;
-  Rng rng_;  ///< write payload generation (default policy)
-
-  Injector injector_{*this};
-  bool use_injector_ = false;  ///< unpartitioned time-leap kernel
-  bool active_ = false;        ///< inside run()
-  /// Kernel cycle = player cycle + offset_ for the current run (unsigned
-  /// wrap-around arithmetic; only the sum is meaningful).
-  std::uint64_t offset_ = 0;
-  std::uint64_t horizon_ = 0;  ///< first kernel cycle past the run
-};
-
-/// Injects transactions into every master of `network` when step() is
-/// called once per simulated cycle.
-///
-/// On an unpartitioned time-leap kernel the driver registers an injector
-/// module (see TracePlayer) so run() can hand the whole span to
-/// Kernel::run: the injector rolls ahead through silent cycles until a
-/// roll injects (RNG draw order is cycle order either way), sleeps until
+/// On an unpartitioned time-leap kernel the engine registers an injector
+/// module so run() can hand the whole span to Kernel::run: the injector
+/// rolls ahead through silent cycles until a roll injects, sleeps until
 /// the cycle before the next unrolled one, and the kernel leaps the gap.
-class TrafficDriver {
+/// Every other kernel pre-rolls each lookahead epoch instead. Either
+/// way the release gate in MasterCore keeps the issue schedule bit-exact
+/// (DESIGN.md §9, §10).
+class Driver {
  public:
-  TrafficDriver(noc::Network& network, const TrafficConfig& config);
+  Driver(const Driver&) = delete;
+  Driver& operator=(const Driver&) = delete;
 
-  /// Rolls injection for every initiator for one cycle.
+  /// Rolls the next source cycle, released at the current kernel cycle.
   void step();
 
-  /// Convenience: step the network and the driver together. On a
-  /// partitioned network each lookahead epoch's injections are
-  /// pre-rolled (released at their exact cycles), preserving both the
-  /// RNG draw order and the issue schedule of the per-cycle loop.
+  /// Steps the driver and the network together. On a partitioned or
+  /// full-scheduler kernel each lookahead epoch's injections are
+  /// pre-rolled (released at their exact cycles via push_transaction_at),
+  /// so the roll order and the issue schedule match the per-cycle loop
+  /// at any partition/thread count.
   void run(std::size_t cycles);
 
   std::uint64_t injected() const { return injected_; }
 
+ protected:
+  explicit Driver(noc::Network& network);
+  ~Driver() = default;
+
+  /// Rolls source cycle `cycle`, pushing its injections for release at
+  /// kernel cycle `release` and counting them in injected_. Returns how
+  /// many of the following source cycles are silent — they would inject
+  /// nothing and change no state, so the engine passes over them without
+  /// a call (sim::kNever: all of them).
+  virtual std::uint64_t roll_cycle(std::uint64_t cycle,
+                                   std::uint64_t release) = 0;
+
+  /// The next source cycle to roll.
+  std::uint64_t source_cycle() const { return source_cycle_; }
+
+  noc::Network& network_;
+  std::uint64_t injected_ = 0;
+
  private:
-  /// Schedulable face of the driver (time-leap runs only); see
-  /// TracePlayer::Injector.
+  /// Schedulable face of the engine (time-leap runs only): ticks after
+  /// every network module, rolling far enough ahead that any
+  /// transaction released at cycle c is queued before c begins. Inert
+  /// (next_event() == kNever) outside run().
   class Injector : public sim::Module {
    public:
-    explicit Injector(TrafficDriver& owner)
-        : sim::Module("traffic_driver.injector"), owner_(owner) {}
-    void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
+    explicit Injector(Driver& owner)
+        : sim::Module("traffic.injector"), owner_(owner) {}
+    void tick(sim::Kernel& kernel) override {
+      owner_.injector_tick(kernel.cycle());
+    }
     std::uint64_t next_event(std::uint64_t now) const override {
       return owner_.injector_next_event(now);
     }
 
    private:
-    TrafficDriver& owner_;
+    Driver& owner_;
   };
 
-  /// Rolls one driver cycle, releasing injections at kernel cycle
-  /// `release` (== the current cycle when called via step()).
-  void roll_cycle(std::uint64_t release);
-  void injector_tick(sim::Kernel& kernel);
+  /// Rolls the next source cycle at `release`, or passes over it when it
+  /// is known to be silent.
+  void roll_next(std::uint64_t release);
+  /// Rolls source cycles from the bookmark through kernel cycle
+  /// `through`, never reaching the horizon, passing over silent stretches
+  /// in O(1). With `ahead`, keeps rolling until a roll past `through`
+  /// injects, so the injector may sleep through the cycles in between.
+  void roll_through(std::uint64_t through, bool ahead);
+  void injector_tick(std::uint64_t now);
   std::uint64_t injector_next_event(std::uint64_t now) const;
+
+  Injector injector_{*this};
+  bool use_injector_ = false;       ///< unpartitioned time-leap kernel
+  bool active_ = false;             ///< inside run()
+  std::uint64_t source_cycle_ = 0;  ///< next source cycle to roll
+  std::uint64_t silent_ = 0;        ///< known-silent cycles from there
+  std::uint64_t rolled_next_ = 0;   ///< first kernel cycle not yet rolled
+  std::uint64_t horizon_ = 0;       ///< first kernel cycle past the run
+};
+
+/// Injects transactions into every master of `network`: each source
+/// cycle rolls the injection process of every initiator (RNG draws in
+/// initiator order), so no cycle is ever silent.
+class TrafficDriver final : public Driver {
+ public:
+  TrafficDriver(noc::Network& network, const TrafficConfig& config);
+
+ private:
+  std::uint64_t roll_cycle(std::uint64_t cycle,
+                           std::uint64_t release) override;
   std::size_t pick_target(std::size_t initiator);
   /// Rolls the on/off Markov chain and the injection coin for one
   /// initiator-cycle; true when a transaction should be injected.
   bool roll_injection(std::size_t initiator);
 
-  noc::Network& network_;
   TrafficConfig config_;
   Rng rng_;
-  std::uint64_t injected_ = 0;
   /// Prefix sums per initiator for kWeighted.
   std::vector<std::vector<double>> cumulative_;
   /// Per-initiator ON/OFF state (burstiness > 0 only).
@@ -235,12 +178,6 @@ class TrafficDriver {
   double peak_rate_ = 0.0;   ///< injection probability while ON
   double p_on_to_off_ = 0.0;
   double p_off_to_on_ = 0.0;
-
-  Injector injector_{*this};
-  bool use_injector_ = false;    ///< unpartitioned time-leap kernel
-  bool active_ = false;          ///< inside run()
-  std::uint64_t rolled_next_ = 0;  ///< first kernel cycle not yet rolled
-  std::uint64_t horizon_ = 0;      ///< first kernel cycle past the run
 };
 
 }  // namespace xpl::traffic

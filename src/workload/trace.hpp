@@ -19,8 +19,8 @@
 //   <cycle> <initiator> <target> <read|write|writenp> <offset> <burst>
 //   [thread]
 // sorted by non-decreasing cycle (the trailing OCP thread id defaults to
-// 0). Entries reuse traffic::TraceEntry, so a header-less body is exactly
-// the legacy traffic/ trace body.
+// 0). Numbers are plain decimal digits (src/common/line_format.hpp), and
+// a header-less body is a trace of unconstrained shape.
 //
 // Determinism contract (DESIGN.md §5): a trace pins every scheduling
 // decision — injection cycle, source, destination, command, burst length.
@@ -36,9 +36,27 @@
 #include <vector>
 
 #include "src/noc/network.hpp"
+#include "src/ocp/ocp.hpp"
 #include "src/traffic/traffic.hpp"
 
 namespace xpl::workload {
+
+/// One scheduled transaction of a trace.
+struct TraceEntry {
+  std::uint64_t cycle = 0;      ///< injection cycle (non-decreasing)
+  std::uint32_t initiator = 0;  ///< initiator index
+  std::uint32_t target = 0;     ///< target index
+  ocp::Cmd cmd = ocp::Cmd::kRead;
+  std::uint64_t addr_offset = 0;  ///< within the target's window
+  std::uint32_t burst = 1;
+  /// OCP thread id. Part of the schedule: responses match per thread, so
+  /// replay timing is only faithful if the trace pins it.
+  std::uint32_t thread = 0;
+};
+
+/// Trace-body command mnemonic ("read" | "write" | "writenp"). Throws on
+/// Cmd::kIdle.
+const char* trace_cmd_name(ocp::Cmd cmd);
 
 /// A named, replayable transaction stream plus the shape of the network
 /// it was captured on (used to validate compatibility before replay).
@@ -46,7 +64,7 @@ struct Trace {
   std::string name = "trace";
   std::uint32_t initiators = 0;  ///< master cores the trace addresses
   std::uint32_t targets = 0;     ///< slave cores the trace addresses
-  std::vector<traffic::TraceEntry> entries;
+  std::vector<TraceEntry> entries;
 };
 
 /// Parses the trace format above; throws xpl::Error with a line number on
@@ -84,36 +102,33 @@ class TraceRecorder {
   Trace trace_;
 };
 
-/// Replays a trace against a compatible network: step() once per cycle
-/// alongside the kernel, like traffic::TrafficDriver. Compatibility
-/// (header initiator/target counts, plus the per-entry range checks) is
-/// validated at construction. The replay engine is traffic::TracePlayer
-/// with one policy change: write payloads are a pure function of the
-/// entry index — no RNG, no seed — so replays are deterministic by
-/// construction.
-class TraceDriver {
+/// Replays a trace against a compatible network on the traffic::Driver
+/// injection engine: step() once per cycle alongside the kernel, or
+/// run() spans, like traffic::TrafficDriver. Source cycle c injects the
+/// entries scheduled at cycle c, and the gaps between entries are silent,
+/// so run() leaps a sparse trace's gaps whole. Compatibility (header
+/// initiator/target counts; per entry the initiator, target and thread
+/// ranges, the burst limit and the target window) is validated at
+/// construction. Write payloads are a pure function of the entry index —
+/// no RNG, no seed — so replays are deterministic by construction.
+class TraceDriver final : public traffic::Driver {
  public:
   TraceDriver(noc::Network& network, Trace trace);
-
-  /// Injects every entry scheduled at or before the current cycle.
-  void step() { player_.step(); }
-
-  /// Convenience: step the driver and the network together.
-  void run(std::size_t cycles) { player_.run(cycles); }
 
   /// Runs until the whole trace is injected, then drains the network
   /// (run_until_quiescent). Returns total cycles stepped.
   std::uint64_t replay(std::uint64_t max_drain_cycles = 100000);
 
   /// True when every entry has been injected.
-  bool done() const { return player_.done(); }
-  std::uint64_t injected() const { return player_.injected(); }
+  bool done() const { return injected() == entries_.size(); }
   const std::string& name() const { return name_; }
 
  private:
-  noc::Network& network_;
-  std::string name_;  ///< header name (entries live in the player)
-  traffic::TracePlayer player_;
+  std::uint64_t roll_cycle(std::uint64_t cycle,
+                           std::uint64_t release) override;
+
+  std::string name_;
+  std::vector<TraceEntry> entries_;
 };
 
 }  // namespace xpl::workload

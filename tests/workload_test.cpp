@@ -82,9 +82,11 @@ TEST(TraceFormat, ParsesHeaderAndEntries) {
 }
 
 TEST(TraceFormat, HeaderlessBodyIsLegacyCompatible) {
-  // A bare entry body (the traffic/ trace format) parses with an
-  // unconstrained shape.
-  const Trace t = parse_trace("0 0 1 read 0 1\n4 1 0 write 8 1\n");
+  // A bare entry body parses with an unconstrained shape.
+  const Trace t = parse_trace(
+      "0 0 1 read 0 1\n"
+      "\n"
+      "4 1 0 write 8 1  # trailing comment\n");
   EXPECT_EQ(t.initiators, 0u);
   EXPECT_EQ(t.targets, 0u);
   EXPECT_EQ(t.entries.size(), 2u);
@@ -106,13 +108,23 @@ TEST(TraceFormat, RejectsMalformed) {
   EXPECT_THROW(parse_trace("0 0 1 read 0 1 x\n"), Error);  // bad thread
   EXPECT_THROW(parse_trace("0 0 1 read 0 1 2 9\n"),
                Error);                                  // trailing token
+  EXPECT_THROW(parse_trace("0 0 1 read 0\n"), Error);     // missing burst
+  EXPECT_THROW(parse_trace("0 0 1 erase 0 1\n"), Error);  // bad command
+  EXPECT_THROW(parse_trace("0 0 1 read 0 0\n"), Error);   // burst 0
+  // Strict numbers: a sign would otherwise wrap to 2^64 - 8 / 2^32 - 1.
+  EXPECT_THROW(parse_trace("0 0 1 read -8 1\n"), Error);  // offset
+  EXPECT_THROW(parse_trace("0 0 1 read 0 -1\n"), Error);  // burst
+  EXPECT_THROW(parse_trace("0 -1 1 read 0 1\n"), Error);  // initiator
+  EXPECT_THROW(parse_trace("0 0 1 read 0 4294967296\n"),
+               Error);                                  // burst overflow
+  EXPECT_THROW(parse_trace("0 0 1 read 0 1#x\n"), Error);  // glued '#'
 }
 
 TEST(TraceFormat, WriterRejectsNamesThatCannotReload) {
   Trace t;
   t.name = "has space";  // would parse as extra tokens
   EXPECT_THROW(write_trace(t), Error);
-  t.name = "a#b";  // '#' truncates as a comment on reload
+  t.name = "#ab";  // a leading '#' reloads as a comment
   EXPECT_THROW(write_trace(t), Error);
   t.name = "";
   EXPECT_THROW(write_trace(t), Error);
@@ -199,6 +211,18 @@ TEST(TraceReplay, ValidatesCompatibility) {
   EXPECT_THROW(TraceDriver(*net, t), Error);
   t.entries[0] = {0, 0, 0, ocp::Cmd::kRead, 0, 1, 99};  // bad thread id
   EXPECT_THROW(TraceDriver(*net, t), Error);
+  // The burst must end inside the 4096-byte target window.
+  t.entries[0] = {0, 0, 0, ocp::Cmd::kRead, 4088, 2};
+  EXPECT_THROW(TraceDriver(*net, t), Error);
+  t.entries[0] = {0, 0, 0, ocp::Cmd::kRead, 4104, 1};  // past the window
+  EXPECT_THROW(TraceDriver(*net, t), Error);
+  t.entries[0] = {0, 0, 0, ocp::Cmd::kRead, 4080, 2};  // ends exactly at it
+  EXPECT_NO_THROW(TraceDriver(*net, t));
+  // A header-less trace is checked against the network alone.
+  t = parse_trace("0 9 0 read 0 1\n");  // initiator 9 missing
+  EXPECT_THROW(TraceDriver(*net, t), Error);
+  t = parse_trace("0 0 9 read 0 1\n");  // target 9 missing
+  EXPECT_THROW(TraceDriver(*net, t), Error);
 }
 
 TEST(TraceReplay, ReplayHelperDrains) {
@@ -207,13 +231,30 @@ TEST(TraceReplay, ReplayHelperDrains) {
   t.initiators = 4;
   t.targets = 4;
   t.entries.push_back({0, 0, 1, ocp::Cmd::kRead, 0, 1});
+  // Initiator 3 writes, then reads back the same location.
+  t.entries.push_back({0, 3, 2, ocp::Cmd::kWrite, 24, 1});
+  t.entries.push_back({10, 3, 2, ocp::Cmd::kRead, 24, 1});
   t.entries.push_back({40, 2, 3, ocp::Cmd::kWriteNp, 8, 1});
+  t.entries.push_back({100, 1, 0, ocp::Cmd::kWriteNp, 16, 1});
   TraceDriver driver(*net, t);
   const std::uint64_t cycles = driver.replay(50000);
   EXPECT_TRUE(driver.done());
-  EXPECT_GT(cycles, 40u);
+  EXPECT_EQ(driver.injected(), 5u);
+  EXPECT_GT(cycles, 100u);
   EXPECT_EQ(net->master(0).completed().size(), 1u);
-  EXPECT_EQ(net->master(2).completed().size(), 1u);
+  // Issue at or after the trace cycle, and soon after on an idle network.
+  ASSERT_EQ(net->master(2).completed().size(), 1u);
+  EXPECT_GE(net->master(2).completed()[0].issue_cycle, 40u);
+  EXPECT_LE(net->master(2).completed()[0].issue_cycle, 50u);
+  ASSERT_EQ(net->master(1).completed().size(), 1u);
+  EXPECT_GE(net->master(1).completed()[0].issue_cycle, 100u);
+  EXPECT_LE(net->master(1).completed()[0].issue_cycle, 110u);
+  // The read returns what the traced write stored (the payload is
+  // generated, so compare via the slave's memory backdoor).
+  const auto& completed = net->master(3).completed();
+  ASSERT_EQ(completed.size(), 2u);
+  ASSERT_EQ(completed[1].data.size(), 1u);
+  EXPECT_EQ(completed[1].data[0], net->slave(2).peek(24) & 0xFFFFFFFFull);
 }
 
 }  // namespace
